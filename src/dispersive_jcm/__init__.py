@@ -10,7 +10,7 @@ time scales all have closed forms.
 Modules
 -------
 model
-    Parameter and grid types plus validation.
+    Parameter and grid types, checked at construction.
 analytic
     The closed forms: conditioned amplitudes, the dephasing exponent,
     entropies, correlation, concurrence, time scales, critical instants.
@@ -32,17 +32,15 @@ from .analytic import (
     CoherentPair,
     CriticalInstant,
     PhaseParts,
-    StateRecord,
     characteristic_times,
     coherent_pair,
     concurrence,
     critical_instants,
-    state_record,
     zeta_atom,
     zeta_field,
     zeta_global,
 )
-from .model import AtomicAmplitudes, DispersiveValidityWarning, ModelParams, TimeGrid, validate
+from .model import AtomicAmplitudes, DispersiveValidityWarning, ModelParams, TimeGrid
 from .oracle import FockDensityMatrix, IntegratorConfig, OracleError, evolve, evolve_trajectory
 
 __version__ = "0.1.0"
@@ -56,12 +54,10 @@ __all__ = [
     "CoherentPair",
     "CriticalInstant",
     "PhaseParts",
-    "StateRecord",
     "characteristic_times",
     "coherent_pair",
     "concurrence",
     "critical_instants",
-    "state_record",
     "zeta_atom",
     "zeta_field",
     "zeta_global",
@@ -69,7 +65,6 @@ __all__ = [
     "DispersiveValidityWarning",
     "ModelParams",
     "TimeGrid",
-    "validate",
     "FockDensityMatrix",
     "IntegratorConfig",
     "OracleError",

@@ -29,16 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, lie, oracle
-from .model import AtomicAmplitudes, ModelParams, TimeGrid
+from .model import AtomicAmplitudes, ModelParams, TimeGrid, make_params
 
 __all__ = [
     "CheckResult",
     "ReferenceTrace",
     "PARAMETER_SETS",
     "COMPARED_OBSERVABLES",
-    "make_params",
-    "analytic_series",
-    "oracle_series",
     "reference_traces",
     "criterion_1",
     "criterion_2",
@@ -86,68 +83,6 @@ def _skip(name: str, tolerance: float) -> CheckResult:
     return CheckResult(name, True, math.nan, tolerance, skipped=True)
 
 
-def make_params(k_over_omega: float, f_over_k: float) -> ModelParams:
-    """Parameters in the omega = 1 convention shared with the CSV tooling."""
-    kappa = float(k_over_omega)
-    return ModelParams(omega=1.0, kappa=kappa, drive=float(f_over_k) * kappa)
-
-
-# ---------------------------------------------------------------- observable columns
-
-def analytic_series(params: ModelParams, times) -> dict:
-    """Every closed-form observable column on a time grid."""
-    times = np.asarray(times, dtype=float)
-    lam_p, lam_m, _ = analytic.global_eigen(params, times)
-    big_p, big_m, _ = analytic.field_eigen(params, times)
-    return {
-        "zeta_global": np.asarray(analytic.zeta_global(params, times), float),
-        "zeta_atom": np.asarray(analytic.zeta_atom(params, times), float),
-        "zeta_field": np.asarray(analytic.zeta_field(params, times), float),
-        "corr_c": np.asarray(analytic.total_correlation(params, times), float),
-        "concurrence": np.asarray(analytic.concurrence(params, times), float),
-        "re_phi": np.asarray(np.real(analytic._phi(params, times)), float),
-        "dist_sq": np.asarray(analytic.distance_sq_closed_form(params, times), float),
-        "lambda_plus": np.asarray(lam_p, float),
-        "lambda_minus": np.asarray(lam_m, float),
-        "Lambda_plus": np.asarray(big_p, float),
-        "Lambda_minus": np.asarray(big_m, float),
-        "nbar_analytic": np.asarray(analytic.mean_photon_number(params, times), float),
-    }
-
-
-def oracle_series(
-    params: ModelParams, times, config: oracle.IntegratorConfig | None = None
-) -> dict:
-    """Integrated counterparts of the compared observables on a time grid.
-
-    One master-equation integration per call; the concurrence column uses
-    the two-qubit embedding along the closed-form conditioned amplitudes,
-    and ``re_phi`` is recovered as log(2 * coherence magnitude).
-    """
-    times = np.asarray(times, dtype=float)
-    amps = AtomicAmplitudes.symmetric()
-    rho0 = oracle.initial_state(params, amps)
-    _, _, u_arr, v_arr = analytic._amplitudes(params, times)
-    out = {
-        key: np.empty(times.size)
-        for key in ("zeta_global", "zeta_atom", "zeta_field", "corr_c", "concurrence", "re_phi")
-    }
-    for i, (_, mat) in enumerate(oracle.evolve_trajectory(params, rho0, times, config)):
-        obs = oracle.observables(mat)
-        atom = oracle.partial_trace_field(mat)
-        fld = oracle.partial_trace_atom(mat)
-        delta = mat - np.kron(atom, fld)
-        emb = oracle.embed_two_qubit(mat, complex(u_arr[i]), complex(v_arr[i]))
-        out["zeta_global"][i] = obs["linear_entropy"]
-        out["zeta_atom"][i] = 1.0 - float(np.real(np.einsum("ij,ji->", atom, atom)))
-        out["zeta_field"][i] = 1.0 - float(np.real(np.einsum("ij,ji->", fld, fld)))
-        out["corr_c"][i] = float(np.real(np.einsum("ij,ji->", delta, delta)))
-        out["concurrence"][i] = oracle.wootters_concurrence(emb.matrix)
-        coher = 2.0 * obs["coherence_magnitude"]
-        out["re_phi"][i] = math.log(coher) if coher > 0.0 else -math.inf
-    return out
-
-
 def reference_traces(
     points: int = 200,
     t_max: float = 4.0 * math.pi,
@@ -166,8 +101,8 @@ def reference_traces(
             ReferenceTrace(
                 params=params,
                 times=times,
-                analytic_columns=analytic_series(params, times),
-                oracle_columns=oracle_series(params, times, config),
+                analytic_columns=analytic.observables(params, times),
+                oracle_columns=oracle.series(params, times, config),
             )
         )
     return traces, time.perf_counter() - start
@@ -462,12 +397,12 @@ def criterion_7() -> list[CheckResult]:
     )
 
     base = ModelParams(1.0, 0.5, 0.4)
-    base_cols = analytic_series(base, ts)
+    base_cols = analytic.observables(base, ts)
     compared = COMPARED_OBSERVABLES + ("re_phi", "dist_sq", "nbar_analytic")
     worst = 0.0
     for theta in (0.7, 2.1, -1.3):
         rotated = ModelParams(1.0, 0.5, 0.4 * cmath.exp(1j * theta))
-        cols = analytic_series(rotated, ts)
+        cols = analytic.observables(rotated, ts)
         for key in compared:
             worst = max(worst, float(np.max(np.abs(cols[key] - base_cols[key]))))
     rows.append(

@@ -26,7 +26,6 @@ from .model import AtomicAmplitudes, ModelParams
 __all__ = [
     "PhaseParts",
     "CoherentPair",
-    "StateRecord",
     "CriticalInstant",
     "MatrixElement",
     "coherent_pair",
@@ -35,21 +34,19 @@ __all__ = [
     "assemble_phi_from_parts",
     "re_phi_longtime_rate",
     "matrix_elements",
-    "global_eigen",
+    "observables",
     "zeta_global",
     "zeta_atom",
     "zeta_field",
-    "field_eigen",
-    "atom_eigen",
     "total_correlation",
     "concurrence",
     "mean_photon_number",
     "characteristic_times",
+    "transition_time",
     "critical_instants",
     "stationary_state",
     "nbar_infinity",
     "driven_mode_state",
-    "state_record",
 ]
 
 
@@ -91,24 +88,6 @@ class CoherentPair:
     beta_e_prime: complex
     beta_g_prime: complex
     dist_sq: float
-
-
-@dataclass(frozen=True)
-class StateRecord:
-    """Every scalar observable of the evolved state at one instant."""
-
-    t: float
-    zeta: float
-    zeta_a: float
-    zeta_f: float
-    corr: float
-    concurrence: float
-    lambda_plus: float
-    lambda_minus: float
-    Lambda_plus: float
-    Lambda_minus: float
-    chi: float
-    im_phi: float
 
 
 @dataclass(frozen=True)
@@ -358,60 +337,60 @@ def matrix_elements(params: ModelParams, amps: AtomicAmplitudes, t: float) -> di
     }
 
 
-def global_eigen(params: ModelParams, t):
-    """Eigenvalues (lambda_plus, lambda_minus) of the joint state and Im phi.
+def observables(params: ModelParams, t) -> dict:
+    """Every closed-form observable at t, keyed by its trace CSV column.
 
-    For the balanced initial superposition the joint state has rank two
-    with eigenvalues (1 +- exp(Re phi))/2; Im phi is the relative phase
-    entering the eigenvectors.
+    For the balanced initial superposition each one is a closed form in
+    Re phi and the squared amplitude separation D^2, so this one pass
+    evaluates each of them once; the functions below are views of it.
+    The joint-state eigenvalues are (1 +- exp(Re phi))/2, the field
+    eigenvalues (1 +- exp(-D^2/2))/2.  ``dist_sq`` comes from
+    distance_sq_closed_form.  Array-capable in t.
     """
-    phi = _phi(params, t)
-    x = np.exp(np.real(phi))
-    return 0.5 * (1.0 + x), 0.5 * (1.0 - x), np.imag(phi)
+    # D^2 goes through _dist_sq, not the amplitudes below, so that every
+    # view sees a replaced _phi or _dist_sq: the acceptance gate's own
+    # tests corrupt these two kernels to show that the gate notices
+    re_phi = np.real(_phi(params, t))
+    d2 = _dist_sq(params, t)
+    _, _, u, _ = _amplitudes(params, t)
+    x_g = np.exp(re_phi)
+    x_f = np.exp(-0.5 * d2)
+    zeta = -0.5 * np.expm1(2.0 * re_phi)
+    zeta_f = -0.5 * np.expm1(-d2)
+    return {
+        "zeta_global": zeta,
+        "zeta_atom": -0.5 * np.expm1(2.0 * re_phi - d2),
+        "zeta_field": zeta_f,
+        "corr_c": 0.5 * zeta_f * (1.0 + (1.0 - 2.0 * zeta) * (1.0 + 2.0 * zeta_f)),
+        "concurrence": x_g * np.sqrt(-np.expm1(-d2)),
+        "re_phi": re_phi,
+        "dist_sq": distance_sq_closed_form(params, t),
+        "lambda_plus": 0.5 * (1.0 + x_g),
+        "lambda_minus": 0.5 * (1.0 - x_g),
+        "Lambda_plus": 0.5 * (1.0 + x_f),
+        "Lambda_minus": 0.5 * (1.0 - x_f),
+        "nbar_analytic": np.abs(u) ** 2,
+    }
 
 
 def zeta_global(params: ModelParams, t):
     """Linear entropy of the joint state: (1 - exp(2 Re phi))/2."""
-    return -0.5 * np.expm1(2.0 * np.real(_phi(params, t)))
+    return observables(params, t)["zeta_global"]
 
 
 def zeta_atom(params: ModelParams, t):
     """Linear entropy of the reduced atom: (1 - exp(2 Re phi - D^2))/2."""
-    return -0.5 * np.expm1(2.0 * np.real(_phi(params, t)) - _dist_sq(params, t))
+    return observables(params, t)["zeta_atom"]
 
 
 def zeta_field(params: ModelParams, t):
     """Linear entropy of the reduced field: (1 - exp(-D^2))/2."""
-    return -0.5 * np.expm1(-_dist_sq(params, t))
-
-
-def field_eigen(params: ModelParams, t):
-    """Field eigenvalues (Lambda_plus, Lambda_minus) and overlap phase chi.
-
-    chi = Im(beta_e_prime * conj(beta_g_prime)) is the phase of the
-    coherent-state overlap <beta_g_prime|beta_e_prime>.
-    """
-    _, _, u, v = _amplitudes(params, t)
-    x = np.exp(-0.5 * np.abs(u - v) ** 2)
-    return 0.5 * (1.0 + x), 0.5 * (1.0 - x), np.imag(u * np.conj(v))
-
-
-def atom_eigen(params: ModelParams, t):
-    """Atomic eigenvalues (lambda_g_rot, lambda_e_rot) = (1 +- e^{Re phi - D^2/2})/2.
-
-    The labels refer to the rotated atomic basis in which the reduced
-    atom is diagonal; the '+' eigenvalue belongs to the ground-like
-    direction.
-    """
-    x = np.exp(np.real(_phi(params, t)) - 0.5 * _dist_sq(params, t))
-    return 0.5 * (1.0 + x), 0.5 * (1.0 - x)
+    return observables(params, t)["zeta_field"]
 
 
 def total_correlation(params: ModelParams, t):
     """Hilbert-Schmidt total correlation c = (zeta_f/2){1 + (1-2 zeta)(1+2 zeta_f)}."""
-    zf = zeta_field(params, t)
-    z = zeta_global(params, t)
-    return 0.5 * zf * (1.0 + (1.0 - 2.0 * z) * (1.0 + 2.0 * zf))
+    return observables(params, t)["corr_c"]
 
 
 def concurrence(params: ModelParams, t):
@@ -421,9 +400,7 @@ def concurrence(params: ModelParams, t):
     vanishes at t = 0 and at every disentanglement instant, and tends to 0
     in the stationary regime.
     """
-    re_phi = np.real(_phi(params, t))
-    d2 = _dist_sq(params, t)
-    return np.exp(re_phi) * np.sqrt(-np.expm1(-d2))
+    return observables(params, t)["concurrence"]
 
 
 def mean_photon_number(params: ModelParams, t):
@@ -432,8 +409,7 @@ def mean_photon_number(params: ModelParams, t):
     The two conditioned amplitudes have equal moduli, so the weights drop
     out for any atomic superposition.
     """
-    _, _, u, _ = _amplitudes(params, t)
-    return np.abs(u) ** 2
+    return observables(params, t)["nbar_analytic"]
 
 
 def characteristic_times(params: ModelParams):
@@ -455,6 +431,15 @@ def characteristic_times(params: ModelParams):
     return tau_lt, tau_st, tau_atom_st
 
 
+def transition_time(params: ModelParams) -> float:
+    """Time ln(w/k)/k after which odd-index field-entropy extrema are minima.
+
+    Only weak damping (k < w) has one; otherwise the result is nan.
+    """
+    w, k = params.omega, params.kappa
+    return math.log(w / k) / k if k < w else math.nan
+
+
 def critical_instants(params: ModelParams, t_max: float, grid_step: float | None = None):
     """All critical instants in (0, t_max], sorted by time.
 
@@ -468,9 +453,10 @@ def critical_instants(params: ModelParams, t_max: float, grid_step: float | None
     Extremum candidates of the field entropy sit at t_c = (2n+1)pi/(2w)
     and are classified by the curvature sign of D^2: for k >= w, maxima
     for even n and minima for odd n; for k < w, maxima for even n, while
-    odd-n instants are maxima before t_trans = ln(w/k)/k and minima after.
+    odd-n instants are maxima before t_trans = ln(w/k)/k (transition_time)
+    and minima after.
     """
-    w, k = params.omega, params.kappa
+    w = params.omega
     if not (w > 0.0):
         raise ValueError("critical instants require omega > 0")
     if not (t_max > 0.0):
@@ -499,20 +485,15 @@ def critical_instants(params: ModelParams, t_max: float, grid_step: float | None
         if root > 0.0:
             found.append(CriticalInstant(float(root), "disentangle", "local_min", -1))
 
-    # --- quarter-period extremum candidates
-    subcritical = k < w
-    t_trans = math.log(w / k) / k if subcritical else None
+    # --- quarter-period extremum candidates; for k >= w, t_trans is nan and
+    # every odd-n instant compares as past it
+    t_trans = transition_time(params)
     n = 0
     while True:
         t_c = (2 * n + 1) * math.pi / (2 * w)
         if t_c > t_max:
             break
-        if n % 2 == 0:
-            cls = "local_max"
-        elif not subcritical:
-            cls = "local_min"
-        else:
-            cls = "local_max" if t_c < t_trans else "local_min"
+        cls = "local_max" if n % 2 == 0 or t_c < t_trans else "local_min"
         found.append(CriticalInstant(float(t_c), "extremum", cls, n))
         n += 1
 
@@ -550,28 +531,3 @@ def driven_mode_state(params: ModelParams, t, alpha0: complex):
     k, F = params.kappa, complex(params.drive)
     decay = np.exp(-k * t)
     return alpha0 * decay - 1j * (F / k) * (-np.expm1(-k * np.asarray(t, dtype=float)))
-
-
-def state_record(params: ModelParams, t: float) -> StateRecord:
-    """Assemble every scalar observable at time t (balanced superposition)."""
-    _, _, u, v = _amplitudes(params, t)
-    phi = complex(_phi(params, t))
-    d2 = float(abs(u - v) ** 2)
-    x_g = math.exp(phi.real)
-    x_f = math.exp(-0.5 * d2)
-    zeta = -0.5 * math.expm1(2.0 * phi.real)
-    zeta_f = -0.5 * math.expm1(-d2)
-    return StateRecord(
-        t=float(t),
-        zeta=zeta,
-        zeta_a=-0.5 * math.expm1(2.0 * phi.real - d2),
-        zeta_f=zeta_f,
-        corr=0.5 * zeta_f * (1.0 + (1.0 - 2.0 * zeta) * (1.0 + 2.0 * zeta_f)),
-        concurrence=x_g * math.sqrt(-math.expm1(-d2)),
-        lambda_plus=0.5 * (1.0 + x_g),
-        lambda_minus=0.5 * (1.0 - x_g),
-        Lambda_plus=0.5 * (1.0 + x_f),
-        Lambda_minus=0.5 * (1.0 - x_f),
-        chi=float(np.imag(u * np.conj(v))),
-        im_phi=phi.imag,
-    )

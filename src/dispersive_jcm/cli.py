@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, analytic
-from .model import ModelParams, validate
+from . import acceptance, analytic, oracle
+from .model import ModelParams, make_params
 from .oracle import IntegratorConfig, OracleError
 
 __all__ = ["main", "get_args", "TRACE_COLUMNS", "ORACLE_COLUMNS", "FIGURE_SETS"]
@@ -192,8 +192,8 @@ def get_args(argv=None) -> argparse.Namespace:
         )
     if args.points < 2:
         parser.error("--points must be at least 2")
-    if args.t_max_pi <= 0:
-        parser.error("--t-max-pi must be positive")
+    if not (math.isfinite(args.t_max_pi) and args.t_max_pi > 0):
+        parser.error("--t-max-pi must be positive and finite")
     return args
 
 
@@ -219,11 +219,11 @@ def _fmt(value: float) -> str:
 def _trace_lines(
     params: ModelParams, times: np.ndarray, with_oracle: bool, config: IntegratorConfig
 ) -> list[str]:
-    columns = acceptance.analytic_series(params, times)
+    columns = analytic.observables(params, times)
     header = list(TRACE_COLUMNS)
     data = [times / math.pi] + [columns[name] for name in TRACE_COLUMNS[1:]]
     if with_oracle:
-        oracle_columns = acceptance.oracle_series(params, times, config)
+        oracle_columns = oracle.series(params, times, config)
         header += list(ORACLE_COLUMNS)
         data += [oracle_columns[name[len("oracle_"):]] for name in ORACLE_COLUMNS]
     table = np.column_stack(data)
@@ -246,7 +246,7 @@ def _run_figures(args, config: IntegratorConfig) -> int:
 
     def build(entry):
         name, k_ow, f_ok = entry
-        params = acceptance.make_params(k_ow, f_ok)
+        params = make_params(k_ow, f_ok)
         _atomic_write(out_dir / name, _trace_lines(params, times, args.oracle, config))
 
     with ThreadPoolExecutor(max_workers=len(FIGURE_SETS)) as pool:
@@ -258,8 +258,8 @@ def _run_figures(args, config: IntegratorConfig) -> int:
 def _run_critical(args, params: ModelParams) -> int:
     t_max = args.t_max_pi * math.pi
     instants = analytic.critical_instants(params, t_max)
-    w, k = params.omega, params.kappa
-    t_trans = math.log(w / k) / k if k < w else math.nan
+    w = params.omega
+    t_trans = analytic.transition_time(params)
     lines = [",".join(CRITICAL_COLUMNS)]
     for c in instants:
         lines.append(
@@ -292,7 +292,7 @@ def _run_verify(args, config: IntegratorConfig) -> int:
 def main(argv=None) -> int:
     args = get_args(argv)
     try:
-        params = validate(acceptance.make_params(args.k_over_omega, args.f_over_k))
+        params = make_params(args.k_over_omega, args.f_over_k)
         config = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
         if args.mode == "trace":
             return _run_trace(args, params, config)

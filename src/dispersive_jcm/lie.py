@@ -29,7 +29,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
 from .model import ModelParams, TimeGrid
-from . import analytic
+from . import analytic, oracle
 
 __all__ = [
     "SuperOpRep",
@@ -84,13 +84,9 @@ class OdeResidualReport:
     system: str  # "diagonal" | "offdiagonal"
 
 
-def _fock_lowering(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-
-
 def superop_rep(dim: int) -> SuperOpRep:
     """Build the vectorized multiplication maps at Fock truncation *dim*."""
-    a = _fock_lowering(dim)
+    a = oracle.lowering_operator(dim)
     ad = a.conj().T
     eye = np.eye(dim)
     # column-stacking: vec(A X B) = kron(B^T, A) vec(X)
@@ -278,21 +274,6 @@ def residual_offdiagonal(params: ModelParams, grid: TimeGrid) -> OdeResidualRepo
 
 # ---------------------------------------------------------------- disentangling
 
-def _coherent_vector(alpha: complex, dim: int) -> np.ndarray:
-    ns = np.arange(dim)
-    if alpha == 0:
-        v = np.zeros(dim, complex)
-        v[0] = 1.0
-        return v
-    logs = ns * np.log(abs(alpha)) - 0.5 * np.cumsum(np.log(np.maximum(ns, 1)))
-    return np.exp(-0.5 * abs(alpha) ** 2 + logs) * np.exp(1j * ns * np.angle(alpha))
-
-
-def _displacement(alpha: complex, dim: int) -> np.ndarray:
-    a = _fock_lowering(dim)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
-
-
 def _vec(m: np.ndarray) -> np.ndarray:
     return m.flatten(order="F")
 
@@ -307,7 +288,7 @@ def _trace_norm(m: np.ndarray) -> float:
 
 def _test_state(params: ModelParams, dim: int) -> np.ndarray:
     alpha = -1j * complex(params.drive) / params.kappa
-    v = _coherent_vector(alpha, dim)
+    v = oracle.coherent_state_vector(alpha, dim)
     return np.outer(v, v.conj())
 
 
@@ -329,7 +310,7 @@ def check_diagonal_disentangling(params: ModelParams, t: float, rep: SuperOpRep)
     if _edge_population(lhs) > 1e-8:
         raise ValueError("truncation insufficient: edge population above 1e-8")
     be = analytic.coherent_pair(params, t).beta_e
-    disp = _displacement(be, dim)
+    disp = oracle.displacement_operator(be, dim)
     rhs = disp @ _unvec(expm_multiply(gen_free * t, _vec(rho0)), dim) @ disp.conj().T
     return _trace_norm(lhs - rhs)
 
@@ -357,16 +338,16 @@ def check_offdiagonal_disentangling(params: ModelParams, t: float, rep: SuperOpR
         parts.z + abs(F) ** 2 * (p ** 2 - q ** 2 + 2 * p * q + abs(p + q) ** 2)
     )
     pair = analytic.coherent_pair(params, t)
-    a = _fock_lowering(dim)
+    a = oracle.lowering_operator(dim)
     mix = p.real - 1j * q.imag
     inner = _unvec(expm_multiply(gen_free * t, _vec(rho0)), dim)
     rhs = (
         scalar
-        * _displacement(pair.beta_e, dim)
+        * oracle.displacement_operator(pair.beta_e, dim)
         @ expm(2.0 * np.conj(F) * mix * a)
         @ inner
         @ expm(-2.0 * F * mix * a.conj().T)
-        @ _displacement(pair.beta_g, dim).conj().T
+        @ oracle.displacement_operator(pair.beta_g, dim).conj().T
     )
     return _trace_norm(lhs - rhs)
 

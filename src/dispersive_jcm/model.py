@@ -5,7 +5,7 @@ cavity mode driven by a classical source.  Three constants fix the
 dynamics: the effective dispersive coupling ``omega`` (rad/time), the
 cavity amplitude-damping rate ``kappa`` (1/time), and the complex source
 coupling ``drive`` (rad/time).  Everything else in the package consumes a
-validated :class:`ModelParams`.
+:class:`ModelParams`, which checks its invariants when it is built.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ __all__ = [
     "AtomicAmplitudes",
     "TimeGrid",
     "DispersiveValidityWarning",
-    "validate",
+    "make_params",
     "stationary_amplitude",
 ]
 
@@ -33,6 +33,14 @@ class DispersiveValidityWarning(UserWarning):
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants of the driven, damped, dispersively coupled system.
+
+    Construction raises ``ValueError`` when ``kappa <= 0``, ``omega < 0``,
+    or any field is non-finite.  When the optional ``validity`` pair is
+    present, it emits a :class:`DispersiveValidityWarning` if the scale
+    separation ``detuning/coupling >= 10 * |drive|/kappa`` fails.  The
+    factor 10 is a documented convention (the regime condition is a strict
+    ``>>`` with no canonical threshold); the math downstream is well
+    defined regardless.
 
     Parameters
     ----------
@@ -49,13 +57,36 @@ class ModelParams:
     validity : tuple[float, float] or None
         Optional pair ``(coupling, detuning)`` of the underlying
         two-photon coupling and detuning that produced ``omega``.  Used
-        only for the dispersive-regime sanity check in :func:`validate`.
+        only for the dispersive-regime sanity check at construction.
     """
 
     omega: float
     kappa: float
     drive: complex
     validity: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if not math.isfinite(self.kappa) or self.kappa <= 0.0:
+            raise ValueError("kappa must be positive and finite")
+        if not math.isfinite(self.omega) or self.omega < 0.0:
+            raise ValueError("omega must be non-negative and finite")
+        drive = complex(self.drive)
+        if not (math.isfinite(drive.real) and math.isfinite(drive.imag)):
+            raise ValueError("drive must be finite")
+        if self.validity is not None:
+            coupling, detuning = self.validity
+            if not (math.isfinite(coupling) and coupling > 0):
+                raise ValueError("validity coupling must be positive and finite")
+            if not (math.isfinite(detuning) and detuning != 0):
+                raise ValueError("validity detuning must be nonzero and finite")
+            if abs(detuning) / coupling < 10.0 * abs(drive) / self.kappa:
+                warnings.warn(
+                    "dispersive approximation questionable: "
+                    f"|detuning|/coupling = {abs(detuning) / coupling:.3g} is not large "
+                    f"against |drive|/kappa = {abs(drive) / self.kappa:.3g}",
+                    DispersiveValidityWarning,
+                    stacklevel=3,
+                )
 
 
 @dataclass(frozen=True)
@@ -99,38 +130,10 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.n_points)
 
 
-def validate(params: ModelParams) -> ModelParams:
-    """Check invariants on *params* and return it unchanged.
-
-    Raises ``ValueError`` when ``kappa <= 0``, ``omega < 0``, or any field
-    is non-finite.  When the optional ``validity`` pair is present, emits a
-    :class:`DispersiveValidityWarning` if the scale separation
-    ``detuning/coupling >= 10 * |drive|/kappa`` fails.  The factor 10 is a
-    documented convention (the regime condition is a strict ``>>`` with no
-    canonical threshold); the math downstream is well defined regardless.
-    """
-    if not math.isfinite(params.kappa) or params.kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    if not math.isfinite(params.omega) or params.omega < 0.0:
-        raise ValueError("omega must be non-negative and finite")
-    drive = complex(params.drive)
-    if not (math.isfinite(drive.real) and math.isfinite(drive.imag)):
-        raise ValueError("drive must be finite")
-    if params.validity is not None:
-        coupling, detuning = params.validity
-        if not (math.isfinite(coupling) and coupling > 0):
-            raise ValueError("validity coupling must be positive and finite")
-        if not (math.isfinite(detuning) and detuning != 0):
-            raise ValueError("validity detuning must be nonzero and finite")
-        if abs(detuning) / coupling < 10.0 * abs(drive) / params.kappa:
-            warnings.warn(
-                "dispersive approximation questionable: "
-                f"|detuning|/coupling = {abs(detuning) / coupling:.3g} is not large "
-                f"against |drive|/kappa = {abs(drive) / params.kappa:.3g}",
-                DispersiveValidityWarning,
-                stacklevel=2,
-            )
-    return params
+def make_params(k_over_omega: float, f_over_k: float) -> ModelParams:
+    """Parameters in the omega = 1 convention shared with the CSV tooling."""
+    kappa = float(k_over_omega)
+    return ModelParams(omega=1.0, kappa=kappa, drive=float(f_over_k) * kappa)
 
 
 def stationary_amplitude(params: ModelParams) -> complex:

@@ -32,6 +32,8 @@ __all__ = [
     "TwoQubitEmbedding",
     "OracleError",
     "fock_truncation",
+    "lowering_operator",
+    "displacement_operator",
     "coherent_state_vector",
     "initial_state",
     "analytic_state_dense",
@@ -45,6 +47,7 @@ __all__ = [
     "embed_two_qubit",
     "wootters_concurrence",
     "observables",
+    "series",
 ]
 
 log = logging.getLogger(__name__)
@@ -115,6 +118,17 @@ def fock_truncation(params: ModelParams) -> int:
     return int(math.ceil(abar * abar + 8.0 * abar + 20.0))
 
 
+def lowering_operator(n_levels: int) -> np.ndarray:
+    """Annihilation operator a on the Fock levels 0 .. n_levels - 1."""
+    return np.diag(np.sqrt(np.arange(1, n_levels)), 1).astype(complex)
+
+
+def displacement_operator(alpha: complex, n_levels: int) -> np.ndarray:
+    """D(alpha) = exp(alpha a_dag - conj(alpha) a) on the truncated space."""
+    a = lowering_operator(n_levels)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
 def coherent_state_vector(alpha: complex, n_levels: int) -> np.ndarray:
     """Fock coefficients of |alpha> up to n_levels, via a log-space recurrence."""
     if alpha == 0:
@@ -181,7 +195,7 @@ def build_generator(params: ModelParams, n_fock: int):
     """
     w, k, F = params.omega, params.kappa, complex(params.drive)
     n = n_fock
-    a1 = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
+    a1 = lowering_operator(n)
     num = a1.conj().T @ a1
     proj_e = np.diag([1.0, 0.0])
     proj_g = np.diag([0.0, 1.0])
@@ -331,9 +345,7 @@ def embed_two_qubit(
     overlap = np.vdot(f1, f2_raw)
     degenerate = abs(overlap) > 1.0 - 1e-14
     if degenerate:
-        a1 = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
-        disp = expm(beta_e_prime * a1.conj().T - np.conj(beta_e_prime) * a1)
-        f2 = disp[:, 1]
+        f2 = displacement_operator(beta_e_prime, n)[:, 1]
     else:
         f2 = f2_raw - overlap * f1
         f2 = f2 / np.linalg.norm(f2)
@@ -384,3 +396,34 @@ def observables(rho: FockDensityMatrix | np.ndarray) -> dict:
         "nbar": nbar,
         "coherence_magnitude": coher,
     }
+
+
+def series(params: ModelParams, times, config: IntegratorConfig | None = None) -> dict:
+    """Integrated counterparts of the compared observables on a time grid.
+
+    One master-equation integration per call; the concurrence column uses
+    the two-qubit embedding along the closed-form conditioned amplitudes,
+    and ``re_phi`` is recovered as log(2 * coherence magnitude).
+    """
+    times = np.asarray(times, dtype=float)
+    amps = AtomicAmplitudes.symmetric()
+    rho0 = initial_state(params, amps)
+    _, _, u_arr, v_arr = analytic._amplitudes(params, times)
+    out = {
+        key: np.empty(times.size)
+        for key in ("zeta_global", "zeta_atom", "zeta_field", "corr_c", "concurrence", "re_phi")
+    }
+    for i, (_, mat) in enumerate(evolve_trajectory(params, rho0, times, config)):
+        obs = observables(mat)
+        atom = partial_trace_field(mat)
+        fld = partial_trace_atom(mat)
+        delta = mat - np.kron(atom, fld)
+        emb = embed_two_qubit(mat, complex(u_arr[i]), complex(v_arr[i]))
+        out["zeta_global"][i] = obs["linear_entropy"]
+        out["zeta_atom"][i] = 1.0 - float(np.real(np.einsum("ij,ji->", atom, atom)))
+        out["zeta_field"][i] = 1.0 - float(np.real(np.einsum("ij,ji->", fld, fld)))
+        out["corr_c"][i] = float(np.real(np.einsum("ij,ji->", delta, delta)))
+        out["concurrence"][i] = wootters_concurrence(emb.matrix)
+        coher = 2.0 * obs["coherence_magnitude"]
+        out["re_phi"][i] = math.log(coher) if coher > 0.0 else -math.inf
+    return out

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersive_jcm import analytic
+from dispersive_jcm import analytic, cli
 from dispersive_jcm.model import AtomicAmplitudes, ModelParams
 
 P111 = ModelParams(1.0, 1.0, 1.0)
@@ -114,19 +114,48 @@ def test_direct_assembly_matches_stable_phi_at_moderate_times():
 
 # ---------------------------------------------------------------- eigenvalues and entropies
 
+def test_observables_are_the_trace_columns_and_views_read_them(monkeypatch):
+    ts = np.linspace(0.0, 12.0, 97)
+    cols = analytic.observables(P_SUB, ts)
+    assert tuple(cols) == cli.TRACE_COLUMNS[1:]
+    views = {
+        "zeta_global": analytic.zeta_global,
+        "zeta_atom": analytic.zeta_atom,
+        "zeta_field": analytic.zeta_field,
+        "corr_c": analytic.total_correlation,
+        "concurrence": analytic.concurrence,
+        "nbar_analytic": analytic.mean_photon_number,
+    }
+    for name, view in views.items():
+        assert np.array_equal(view(P_SUB, ts), cols[name]), name
+    # one pass: the dephasing exponent is evaluated once per call
+    calls = []
+    original = analytic._phi
+
+    def counting_phi(params, t):
+        calls.append(t)
+        return original(params, t)
+
+    monkeypatch.setattr(analytic, "_phi", counting_phi)
+    analytic.observables(P_SUB, ts)
+    assert len(calls) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(params_st, times_st)
 def test_global_eigenvalues_sum_to_one_and_give_entropy(params, t):
-    lp, lm, _ = analytic.global_eigen(params, t)
+    obs = analytic.observables(params, t)
+    lp, lm = obs["lambda_plus"], obs["lambda_minus"]
     assert np.isclose(lp + lm, 1.0, atol=1e-12)
-    assert np.isclose(analytic.zeta_global(params, t), 2 * lp * lm, rtol=1e-10, atol=1e-13)
+    assert np.isclose(obs["zeta_global"], 2 * lp * lm, rtol=1e-10, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
 @given(params_st, times_st)
 def test_field_eigenvalue_product_matches_entropy(params, t):
-    Lp, Lm, _ = analytic.field_eigen(params, t)
-    zf = analytic.zeta_field(params, t)
+    obs = analytic.observables(params, t)
+    Lp, Lm = obs["Lambda_plus"], obs["Lambda_minus"]
+    zf = obs["zeta_field"]
     assert np.isclose(Lp * Lm, 0.25 * (1 - math.exp(-analytic._dist_sq(params, t))), atol=1e-13)
     assert np.isclose(zf, 2 * Lp * Lm, rtol=1e-10, atol=1e-13)
 
@@ -134,17 +163,20 @@ def test_field_eigenvalue_product_matches_entropy(params, t):
 @settings(max_examples=60, deadline=None)
 @given(params_st, times_st)
 def test_atom_eigenvalues_give_atom_entropy(params, t):
-    ap, am = analytic.atom_eigen(params, t)
-    assert np.isclose(ap + am, 1.0, atol=1e-12)
-    assert np.isclose(analytic.zeta_atom(params, t), 2 * ap * am, rtol=1e-10, atol=1e-13)
+    # the reduced atom's eigenvalues are (1 +- exp(Re phi - D^2/2))/2
+    obs = analytic.observables(params, t)
+    x = math.exp(obs["re_phi"] - 0.5 * analytic._dist_sq(params, t))
+    ap, am = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
+    assert np.isclose(obs["zeta_atom"], 2 * ap * am, rtol=1e-10, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
 @given(params_st, times_st)
 def test_concurrence_from_eigenvalue_identity(params, t):
-    lp, lm, _ = analytic.global_eigen(params, t)
-    Lp, Lm, _ = analytic.field_eigen(params, t)
-    c = analytic.concurrence(params, t)
+    obs = analytic.observables(params, t)
+    lp, lm = obs["lambda_plus"], obs["lambda_minus"]
+    Lp, Lm = obs["Lambda_plus"], obs["Lambda_minus"]
+    c = obs["concurrence"]
     # compare squares: the eigenvalue route computes 1 - exp(-D^2/2) by
     # direct subtraction, whose absolute rounding floor would be amplified
     # to sqrt(ulp) ~ 1e-8 by the square root for tiny D^2
@@ -162,26 +194,23 @@ def test_observable_bounds(params, t):
 
 
 def test_entropies_frozen_values_subcritical():
-    rec = analytic.state_record(P_SUB, 2.0)
-    assert np.isclose(rec.zeta, 0.39610643480060703, atol=1e-12)
-    assert np.isclose(rec.zeta_a, 0.49348390624191907, atol=1e-12)
-    assert np.isclose(rec.zeta_f, 0.46864053252203247, atol=1e-12)
-    assert np.isclose(rec.corr, 0.32864403205357773, atol=1e-12)
-    assert np.isclose(rec.concurrence, 0.44131048354035735, atol=1e-12)
-    assert np.isclose(rec.lambda_plus, 0.7279183682806115, atol=1e-12)
-    assert np.isclose(rec.Lambda_plus, 0.6252187435609532, atol=1e-12)
-    assert np.isclose(rec.chi, 0.1872826370996519, atol=1e-12)
+    obs = analytic.observables(P_SUB, 2.0)
+    assert np.isclose(obs["zeta_global"], 0.39610643480060703, atol=1e-12)
+    assert np.isclose(obs["zeta_atom"], 0.49348390624191907, atol=1e-12)
+    assert np.isclose(obs["zeta_field"], 0.46864053252203247, atol=1e-12)
+    assert np.isclose(obs["corr_c"], 0.32864403205357773, atol=1e-12)
+    assert np.isclose(obs["concurrence"], 0.44131048354035735, atol=1e-12)
+    assert np.isclose(obs["lambda_plus"], 0.7279183682806115, atol=1e-12)
+    assert np.isclose(obs["Lambda_plus"], 0.6252187435609532, atol=1e-12)
 
 
-def test_state_record_is_consistent_with_scalar_functions():
+def test_scalar_and_array_evaluation_agree():
+    # numpy's vector and scalar ufunc loops may round differently in the
+    # last bit, so the two routes agree to rounding, not bit for bit
     t = 3.3
-    rec = analytic.state_record(P111, t)
-    assert np.isclose(rec.zeta, analytic.zeta_global(P111, t), atol=1e-15)
-    assert np.isclose(rec.zeta_a, analytic.zeta_atom(P111, t), atol=1e-15)
-    assert np.isclose(rec.zeta_f, analytic.zeta_field(P111, t), atol=1e-15)
-    assert np.isclose(rec.corr, analytic.total_correlation(P111, t), atol=1e-15)
-    assert np.isclose(rec.concurrence, analytic.concurrence(P111, t), atol=1e-15)
-    assert np.isclose(rec.im_phi, float(np.imag(analytic._phi(P111, t))), atol=1e-15)
+    row = {name: col[1] for name, col in analytic.observables(P111, np.array([0.0, t, 7.0])).items()}
+    for name, value in analytic.observables(P111, t).items():
+        assert np.isclose(value, row[name], rtol=1e-14, atol=1e-15), name
 
 
 def test_global_entropy_saturates_at_one_half():

@@ -140,11 +140,20 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert exc.value.code == 2
 
 
-def test_bad_grid_arguments_are_rejected():
-    with pytest.raises(SystemExit):
-        cli.main(["--points", "1"])
-    with pytest.raises(SystemExit):
-        cli.main(["--t-max-pi", "-1.0"])
+def test_bad_grid_arguments_are_rejected(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    for mode in ("trace", "critical"):
+        for flag, value in (
+            ("--points", "1"),
+            ("--t-max-pi", "-1.0"),
+            ("--t-max-pi", "nan"),
+            ("--t-max-pi", "inf"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--mode", mode, flag, value, "--out", str(out)])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1].startswith("dispersive-jcm: error:")
+            assert not out.exists()
 
 
 def test_invalid_physics_parameters_exit_nonzero(tmp_path, capsys):

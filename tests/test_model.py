@@ -11,50 +11,57 @@ from dispersive_jcm.model import (
     DispersiveValidityWarning,
     ModelParams,
     TimeGrid,
+    make_params,
     stationary_amplitude,
-    validate,
 )
 
 
 def test_validate_accepts_good_params():
-    p = ModelParams(1.0, 0.5, 0.3 + 0.1j)
-    assert validate(p) is p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = ModelParams(1.0, 0.5, 0.3 + 0.1j)
+        ModelParams(0.0, 0.7, 0.4 + 0.3j)  # omega = 0: the decoupled case is legal
+    assert (p.omega, p.kappa, p.drive) == (1.0, 0.5, 0.3 + 0.1j)
+    assert make_params(0.2, 2.0) == ModelParams(1.0, 0.2, 0.4)
 
 
 def test_validate_rejects_nonpositive_kappa():
     with pytest.raises(ValueError):
-        validate(ModelParams(1.0, 0.0, 1.0))
+        ModelParams(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        validate(ModelParams(1.0, -2.0, 1.0))
+        ModelParams(1.0, -2.0, 1.0)
+    with pytest.raises(ValueError):
+        make_params(-1.0, 1.0)
 
 
 def test_validate_rejects_negative_or_nonfinite_omega():
     with pytest.raises(ValueError):
-        validate(ModelParams(-0.1, 1.0, 1.0))
+        ModelParams(-0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
-        validate(ModelParams(math.inf, 1.0, 1.0))
+        ModelParams(math.inf, 1.0, 1.0)
 
 
 def test_validate_rejects_nonfinite_drive():
     with pytest.raises(ValueError):
-        validate(ModelParams(1.0, 1.0, complex(math.nan, 0.0)))
+        ModelParams(1.0, 1.0, complex(math.nan, 0.0))
 
 
 def test_validity_pair_warns_only_when_scale_separation_is_weak():
     # |detuning|/coupling = 5 is not >= 10 * |drive|/kappa = 10
-    with pytest.warns(DispersiveValidityWarning):
-        validate(ModelParams(1.0, 1.0, 1.0, validity=(1.0, 5.0)))
+    with pytest.warns(DispersiveValidityWarning) as record:
+        ModelParams(1.0, 1.0, 1.0, validity=(1.0, 5.0))
+    assert record[0].filename == __file__  # attributed to the constructing line
     # |detuning|/coupling = 100 clears the threshold
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        validate(ModelParams(1.0, 1.0, 1.0, validity=(1.0, 100.0)))
+        ModelParams(1.0, 1.0, 1.0, validity=(1.0, 100.0))
 
 
 def test_validity_pair_rejects_degenerate_entries():
     with pytest.raises(ValueError):
-        validate(ModelParams(1.0, 1.0, 1.0, validity=(0.0, 10.0)))
+        ModelParams(1.0, 1.0, 1.0, validity=(0.0, 10.0))
     with pytest.raises(ValueError):
-        validate(ModelParams(1.0, 1.0, 1.0, validity=(1.0, 0.0)))
+        ModelParams(1.0, 1.0, 1.0, validity=(1.0, 0.0))
 
 
 def test_atomic_amplitudes_must_be_normalized():
