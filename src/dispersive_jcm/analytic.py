@@ -455,6 +455,9 @@ def critical_instants(params: ModelParams, t_max: float, grid_step: float | None
     for even n and minima for odd n; for k < w, maxima for even n, while
     odd-n instants are maxima before t_trans = ln(w/k)/k (transition_time)
     and minima after.
+
+    Without drive the field entropy is identically zero, so there are no
+    critical instants and the list is empty.
     """
     w = params.omega
     if not (w > 0.0):
@@ -462,6 +465,8 @@ def critical_instants(params: ModelParams, t_max: float, grid_step: float | None
     if not (t_max > 0.0):
         raise ValueError("t_max must be positive")
     found: list[CriticalInstant] = []
+    if params.drive == 0:
+        return found
 
     # --- zeros of the disentanglement bracket
     f = lambda t: _disentangle_bracket(params, t)

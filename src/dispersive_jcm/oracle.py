@@ -1,11 +1,19 @@
 """Brute-force verification on a truncated atom-field space.
 
 Everything here is deliberately independent of the closed forms in
-:mod:`.analytic`: the master equation is integrated directly as a dense
-matrix ODE with an adaptive high-order Runge-Kutta scheme, and all
-observables (entropies, correlation, Wootters concurrence) are computed
-from the resulting density matrix.  Agreement with the analytic module is
-the package's central acceptance criterion.
+:mod:`.analytic`: the master equation is integrated directly with an
+adaptive high-order Runge-Kutta scheme, and all observables (entropies,
+correlation, Wootters concurrence) are computed from the resulting density
+matrix.  Agreement with the analytic module is the package's central
+acceptance criterion.
+
+Neither the Hamiltonian nor the cavity jump flips the atom, so the
+excited-excited, ground-ground and excited-ground field blocks of the
+joint state evolve independently (the ground-excited block is the adjoint
+of the excited-ground one).  The integrator therefore carries the three
+blocks column-stacked in one packed vector of 3(N+1)^2 entries and
+applies one block-diagonal sparse Liouvillian per right-hand side; dense
+joint matrices are rebuilt only at the requested times.
 
 Basis convention: the joint space is (atom) tensor (Fock), atom index
 major, with atomic index 0 = excited and 1 = ground.  A joint matrix is
@@ -20,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import DOP853
 from scipy.linalg import expm
 
@@ -31,6 +40,7 @@ __all__ = [
     "IntegratorConfig",
     "TwoQubitEmbedding",
     "OracleError",
+    "MEMORY_BUDGET_BYTES",
     "fock_truncation",
     "lowering_operator",
     "displacement_operator",
@@ -55,6 +65,30 @@ log = logging.getLogger(__name__)
 
 class OracleError(RuntimeError):
     """Integration or truncation failure in the brute-force evolution."""
+
+
+#: Memory one integration may plan for; larger Fock truncations are refused.
+MEMORY_BUDGET_BYTES = 1 << 30
+
+# Arrays alive during one integration, in packed states of 3(N+1)^2 complex
+# entries: DOP853's 16-stage extended buffer, its 7-row dense-output
+# interpolant and step vectors, and the sparse generator with its build
+# temporaries.  With the dense 2(N+1)-square matrices of one extracted point
+# this is the tracemalloc peak of an integration with extraction, within a
+# few percent, for N from 40 to 250.  The budget then admits N up to 616.
+_PACKED_COPIES = 48
+_DENSE_COPIES = 8
+
+
+def _check_affordable(n_levels: float) -> None:
+    """Raise OracleError before allocating when n_levels would exceed the budget."""
+    n = float(n_levels)
+    need = 16.0 * n * n * (3 * _PACKED_COPIES + 4 * _DENSE_COPIES)
+    if not need <= MEMORY_BUDGET_BYTES:
+        raise OracleError(
+            f"Fock truncation N = {n_levels - 1:.0f} needs about {need / 2**20:.0f} MiB, "
+            f"over the oracle budget of {MEMORY_BUDGET_BYTES / 2**20:.0f} MiB"
+        )
 
 
 @dataclass(frozen=True)
@@ -112,10 +146,14 @@ def fock_truncation(params: ModelParams) -> int:
     Every coherent amplitude in the dynamics (stationary -iF/k plus
     transient displacements) has modulus at most abar, and
     N = ceil(abar^2 + 8 abar + 20) pushes the Poisson tail of such a state
-    below 1e-12.
+    below 1e-12.  Raises :class:`OracleError` when an integration at that
+    truncation would not fit :data:`MEMORY_BUDGET_BYTES`.
     """
     abar = 2.0 * abs(params.drive) / params.kappa
-    return int(math.ceil(abar * abar + 8.0 * abar + 20.0))
+    bound = abar * abar + 8.0 * abar + 20.0
+    truncation = math.ceil(bound) if math.isfinite(bound) else bound
+    _check_affordable(truncation + 1)
+    return int(truncation)
 
 
 def lowering_operator(n_levels: int) -> np.ndarray:
@@ -144,10 +182,17 @@ def initial_state(
     params: ModelParams, amps: AtomicAmplitudes, n_fock: int | None = None
 ) -> FockDensityMatrix:
     """Pure product start: atomic superposition x stationary coherent field."""
-    n = (fock_truncation(params) if n_fock is None else n_fock - 1) + 1
+    if n_fock is None:
+        n = fock_truncation(params) + 1
+    else:
+        _check_affordable(n_fock)
+        n = n_fock
     field_vec = coherent_state_vector(stationary_amplitude(params), n)
     psi = np.concatenate([amps.c_e * field_vec, amps.c_g * field_vec])
-    return FockDensityMatrix(n_fock=n, data=np.outer(psi, psi.conj()), time=0.0)
+    # through the packed form, so the ge block is eg^dag exactly, as in every
+    # state the integrator emits
+    data = _unpack(_pack(np.outer(psi, psi.conj()), n), n)
+    return FockDensityMatrix(n_fock=n, data=data, time=0.0)
 
 
 def analytic_state_dense(
@@ -188,30 +233,62 @@ def stationary_state_dense(
 # ---------------------------------------------------------------- generator & evolution
 
 def build_generator(params: ModelParams, n_fock: int):
-    """Right-hand side of the master equation as a map on dense joint matrices.
+    """Right-hand side of the master equation as a map on packed field blocks.
 
     d rho/dt = -i[H, rho] + k(2 a rho a_dag - a_dag a rho - rho a_dag a)
     with H = w[(a_dag a + 1) P_e - a_dag a P_g] + (F a_dag + conj(F) a).
+    Neither H nor the jump flips the atom, so each field block obeys
+    d rho_xy/dt = -i(H_x rho_xy - rho_xy H_y) + k(2 a rho_xy a_dag - ...)
+    with H_e = w(a_dag a + 1) + V, H_g = -w a_dag a + V and
+    V = F a_dag + conj(F) a.  The ee (H_e, H_e), gg (H_g, H_g) and
+    eg (H_e, H_g) Liouvillians are column-stacked, vec(A X B) =
+    kron(B^T, A) vec(X) as in :mod:`.lie`, and joined block-diagonally
+    into one sparse matrix L acting on [vec ee, vec gg, vec eg] (see
+    :func:`_pack`).  Returns y -> L y, one sparse matvec per evaluation.
     """
     w, k, F = params.omega, params.kappa, complex(params.drive)
-    n = n_fock
-    a1 = lowering_operator(n)
-    num = a1.conj().T @ a1
-    proj_e = np.diag([1.0, 0.0])
-    proj_g = np.diag([0.0, 1.0])
-    ham = w * (np.kron(proj_e, num + np.eye(n)) - np.kron(proj_g, num)) + np.kron(
-        np.eye(2), F * a1.conj().T + np.conj(F) * a1
+    eye = sparse.identity(n_fock, dtype=complex, format="csr")
+    a = sparse.csr_matrix(lowering_operator(n_fock))
+    a_dag = a.conj().T
+    num = a_dag @ a
+    drive = F * a_dag + np.conj(F) * a
+    h_e = w * (num + eye) + drive
+    h_g = -w * num + drive
+    damping = k * (
+        2.0 * sparse.kron(a.conj(), a) - sparse.kron(eye, num) - sparse.kron(num.T, eye)
     )
-    jump = np.kron(np.eye(2), a1)
-    jump_dag = jump.conj().T
-    num2 = jump_dag @ jump
 
-    def generator(rho: np.ndarray) -> np.ndarray:
-        return -1j * (ham @ rho - rho @ ham) + k * (
-            2.0 * jump @ rho @ jump_dag - num2 @ rho - rho @ num2
-        )
+    def block(h_left, h_right):
+        return -1j * (sparse.kron(eye, h_left) - sparse.kron(h_right.T, eye)) + damping
+
+    liouvillian = sparse.block_diag(
+        [block(h_e, h_e), block(h_g, h_g), block(h_e, h_g)], format="csr"
+    )
+
+    def generator(y: np.ndarray) -> np.ndarray:
+        return liouvillian @ y
 
     return generator
+
+
+def _pack(rho: np.ndarray, n_fock: int) -> np.ndarray:
+    """[vec ee, vec gg, vec eg] of a dense joint matrix, each block column-stacked."""
+    n = n_fock
+    return np.concatenate(
+        [rho[:n, :n].ravel("F"), rho[n:, n:].ravel("F"), rho[:n, n:].ravel("F")]
+    )
+
+
+def _unpack(y: np.ndarray, n_fock: int) -> np.ndarray:
+    """Dense joint matrix of a packed vector, with the ge block rebuilt as eg^dag."""
+    n = n_fock
+    ee, gg, eg = y.reshape(3, n, n).transpose(0, 2, 1)
+    rho = np.empty((2 * n, 2 * n), complex)
+    rho[:n, :n] = ee
+    rho[n:, n:] = gg
+    rho[:n, n:] = eg
+    rho[n:, :n] = eg.conj().T
+    return rho
 
 
 def _edge_population(rho: np.ndarray, n_fock: int) -> float:
@@ -227,10 +304,13 @@ def evolve_trajectory(
     """Yield (t, dense matrix) at each requested time along one integration.
 
     ``times`` must be non-decreasing and start at or after ``rho0.time``.
-    Matrices are interpolated from the integrator's dense output, so the
-    cost is one integration regardless of how many points are requested.
-    Raises :class:`OracleError` when the edge Fock population exceeds 1e-8
-    at any accepted step or the integrator fails (step-size underflow).
+    The packed field blocks of :func:`build_generator` are integrated (the
+    ge block of ``rho0`` is not read: a density matrix has ge = eg^dag);
+    matrices are interpolated from the integrator's dense output and
+    unpacked, so the cost is one integration regardless of how many points
+    are requested.  Raises :class:`OracleError` when the edge Fock
+    population exceeds 1e-8 at any accepted step or the integrator fails
+    (step-size underflow).
     """
     config = config or IntegratorConfig()
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -241,12 +321,10 @@ def evolve_trajectory(
     if np.any(np.diff(times) < 0):
         raise ValueError("requested times must be non-decreasing")
     n = rho0.n_fock
-    d = 2 * n
     gen = build_generator(params, n)
 
     def rhs(t, y):
-        rho = y.view(complex).reshape(d, d)
-        return gen(rho).ravel().view(float)
+        return gen(y.view(complex)).view(float)
 
     ptr = 0
     # emit any points sitting exactly at the start
@@ -258,28 +336,34 @@ def evolve_trajectory(
     solver = DOP853(
         rhs,
         rho0.time,
-        rho0.data.ravel().view(float).copy(),
+        _pack(rho0.data, n).view(float),
         float(times[-1]),
         rtol=config.rel_tol,
         atol=config.abs_tol,
         max_step=config.max_step,
     )
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise OracleError(f"integration failed at t={solver.t:.6g}: {message}")
-        current = np.ascontiguousarray(solver.y).view(complex).reshape(d, d)
-        edge = _edge_population(current, n)
-        if edge > 1e-8:
-            raise OracleError(
-                f"edge Fock population {edge:.3e} at t={solver.t:.6g}: truncation blow-up"
-            )
-        if ptr < times.size and solver.t >= times[ptr]:
-            dense = solver.dense_output()
-            while ptr < times.size and times[ptr] <= solver.t:
-                out = np.ascontiguousarray(dense(times[ptr])).view(complex).reshape(d, d)
-                yield float(times[ptr]), out
-                ptr += 1
+    edges = (n * n - 1, 2 * n * n - 1)  # ee[N, N] and gg[N, N] in the packed vector
+    try:
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise OracleError(f"integration failed at t={solver.t:.6g}: {message}")
+            current = np.ascontiguousarray(solver.y).view(complex)
+            edge = max(abs(current[i]) for i in edges)
+            if edge > 1e-8:
+                raise OracleError(
+                    f"edge Fock population {edge:.3e} at t={solver.t:.6g}: truncation blow-up"
+                )
+            if ptr < times.size and solver.t >= times[ptr]:
+                dense = solver.dense_output()
+                while ptr < times.size and times[ptr] <= solver.t:
+                    out = np.ascontiguousarray(dense(times[ptr])).view(complex)
+                    yield float(times[ptr]), _unpack(out, n)
+                    ptr += 1
+    finally:
+        # the solver refers to itself through its fun closures: break that
+        # cycle so it and its stage buffers are freed now, not at a full GC
+        vars(solver).clear()
 
 
 def evolve(

@@ -333,6 +333,13 @@ def test_critical_instants_supercritical_has_no_roots():
     ]
 
 
+def test_critical_instants_without_drive_are_empty():
+    no_drive = ModelParams(1.0, 0.2, 0.0)
+    assert analytic.critical_instants(no_drive, 4 * math.pi) == []
+    ts = np.linspace(0.0, 4 * math.pi, 101)
+    assert np.all(analytic.zeta_field(no_drive, ts) == 0.0)
+
+
 def test_critical_instants_rejects_bad_arguments():
     with pytest.raises(ValueError):
         analytic.critical_instants(ModelParams(0.0, 1.0, 1.0), 10.0)

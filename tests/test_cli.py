@@ -99,6 +99,29 @@ def test_critical_mode_supercritical_has_no_roots_and_nan_transition(tmp_path):
     assert cls == ["local_max", "local_min", "local_max", "local_min"]
 
 
+def test_critical_mode_without_drive_writes_only_the_header(tmp_path):
+    out = tmp_path / "critical0.csv"
+    rc = cli.main(
+        ["--mode", "critical", "--k-over-omega", "0.2", "--f-over-k", "0.0",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    assert out.read_text() == ",".join(cli.CRITICAL_COLUMNS) + "\n"
+
+
+def test_unaffordable_oracle_truncation_exits_2(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    rc = cli.main(
+        ["--mode", "trace", "--oracle", "--k-over-omega", "0.2", "--f-over-k", "20",
+         "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Fock truncation N = 1940")
+    assert not out.exists()
+    assert not out.with_name(out.name + ".tmp").exists()
+
+
 def test_figures_mode_writes_five_deterministic_files(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     args = ["--mode", "figures", "--points", "7", "--t-max-pi", "4.0"]

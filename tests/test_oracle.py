@@ -1,10 +1,14 @@
 """Brute-force Lindblad integration on a truncated Fock space."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from dispersive_jcm import analytic, oracle
-from dispersive_jcm.model import AtomicAmplitudes, ModelParams
+from dispersive_jcm.model import AtomicAmplitudes, ModelParams, make_params
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 BALANCED = AtomicAmplitudes.symmetric()
@@ -128,7 +132,102 @@ def test_stationary_dense_state_is_a_generator_fixed_point():
     n = 40
     stat = oracle.stationary_state_dense(P111, BALANCED, n)
     gen = oracle.build_generator(P111, n)
-    assert float(np.max(np.abs(gen(stat)))) < 1e-10
+    assert float(np.max(np.abs(gen(oracle._pack(stat, n))))) < 1e-10
+
+
+def _dense_master_rhs(params, rho):
+    """The joint master equation written out with dense 2(N+1)-square operators."""
+    n = rho.shape[0] // 2
+    a = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
+    num = a.conj().T @ a
+    F = complex(params.drive)
+    ham = params.omega * (
+        np.kron(np.diag([1.0, 0.0]), num + np.eye(n)) - np.kron(np.diag([0.0, 1.0]), num)
+    ) + np.kron(np.eye(2), F * a.conj().T + np.conj(F) * a)
+    jump = np.kron(np.eye(2), a)
+    jump_num = jump.conj().T @ jump
+    return -1j * (ham @ rho - rho @ ham) + params.kappa * (
+        2.0 * jump @ rho @ jump.conj().T - jump_num @ rho - rho @ jump_num
+    )
+
+
+def test_block_generator_matches_the_dense_master_equation():
+    params = ModelParams(1.3, 0.7, 0.4 - 0.9j)
+    n = 9
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+    rho = m + m.conj().T
+    gen = oracle.build_generator(params, n)
+    packed = oracle._pack(rho, n)
+    assert packed.shape == (3 * n * n,)
+    assert np.array_equal(oracle._unpack(packed, n), rho)
+    expected = _dense_master_rhs(params, rho)
+    got = oracle._unpack(gen(packed), n)
+    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def test_emitted_matrices_have_ge_equal_to_eg_adjoint():
+    params = ModelParams(1.0, 0.4, 0.3 + 0.2j)
+    rho0 = oracle.initial_state(params, AtomicAmplitudes(0.6, 0.8j))
+    n = rho0.n_fock
+    out = list(oracle.evolve_trajectory(params, rho0, [0.0, 0.3, 0.3, 1.1]))
+    assert len(out) == 4
+    for _, mat in out:
+        assert np.array_equal(mat[n:, :n], mat[:n, n:].conj().T)
+
+
+def _live_solvers():
+    return [obj for obj in gc.get_objects() if isinstance(obj, DOP853)]
+
+
+def test_finished_solvers_are_freed_without_a_collection():
+    rho0 = oracle.initial_state(P111, BALANCED)
+    gc.collect()
+    gc.disable()
+    try:
+        assert not _live_solvers()
+        for _ in oracle.evolve_trajectory(P111, rho0, [0.1, 0.2]):
+            pass
+        assert not _live_solvers()
+        trajectory = oracle.evolve_trajectory(P111, rho0, [0.1, 0.2])
+        next(trajectory)
+        assert len(_live_solvers()) == 1
+        trajectory.close()
+        assert not _live_solvers()
+        # too few Fock levels: the edge guard raises at the first step
+        small = oracle.initial_state(P111, BALANCED, n_fock=6)
+        try:
+            list(oracle.evolve_trajectory(P111, small, [0.1]))
+        except oracle.OracleError:
+            pass
+        else:
+            raise AssertionError("edge guard did not raise")
+        assert not _live_solvers()
+    finally:
+        gc.enable()
+
+
+UNAFFORDABLE = make_params(0.2, 20.0)  # fock_truncation would be N = 1940
+
+
+def test_unaffordable_truncation_is_refused_before_allocating():
+    with pytest.raises(oracle.OracleError, match="budget"):
+        oracle.fock_truncation(UNAFFORDABLE)
+    with pytest.raises(oracle.OracleError, match="budget"):
+        oracle.initial_state(P111, BALANCED, n_fock=1941)
+    with pytest.raises(oracle.OracleError, match="budget"):
+        oracle.fock_truncation(ModelParams(1.0, 1e-300, 1.0))  # N overflows to inf
+    tracemalloc.start()
+    try:
+        with pytest.raises(oracle.OracleError, match="N = 1940"):
+            oracle.series(UNAFFORDABLE, np.linspace(0.0, 4.0 * np.pi, 200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the limit stays far above the largest standard truncation, N = 68
+    assert oracle.initial_state(ModelParams(1.0, 0.2, 0.4), BALANCED).n_fock == 69
+    oracle._check_affordable(501)
 
 
 # ---------------------------------------------------------------- measurement
