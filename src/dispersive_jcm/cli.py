@@ -17,7 +17,10 @@ omega*t/pi and parameters as the ratios kappa/omega and |drive|/kappa):
 Every CSV is written with LF line endings and 17-significant-digit
 scientific notation through a temp file renamed into place, so repeated
 runs with the same arguments are byte-identical and interrupted runs
-leave no partial files behind.
+leave no partial files behind.  A CSV holds only finite numbers (apart
+from critical's ``t_trans``, nan when there is no transition); parameters
+whose closed forms leave the floating-point range exit 2 with one error
+line instead.
 """
 
 from __future__ import annotations
@@ -227,6 +230,10 @@ def _trace_lines(
         header += list(ORACLE_COLUMNS)
         data += [oracle_columns[name[len("oracle_"):]] for name in ORACLE_COLUMNS]
     table = np.column_stack(data)
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        bad = ", ".join(name for name, ok in zip(header, finite) if not ok)
+        raise ValueError(f"non-finite values in {bad}: parameters outside the numerical range")
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in table]
     return lines
@@ -262,6 +269,12 @@ def _run_critical(args, params: ModelParams) -> int:
     t_trans = analytic.transition_time(params)
     lines = [",".join(CRITICAL_COLUMNS)]
     for c in instants:
+        zeta = float(analytic.zeta_field(params, c.t_c))
+        conc = float(analytic.concurrence(params, c.t_c))
+        if not all(map(math.isfinite, (c.t_c, zeta, conc))) or math.isinf(t_trans):
+            raise ValueError(
+                "non-finite critical-instant values: parameters outside the numerical range"
+            )
         lines.append(
             ",".join(
                 (
@@ -270,8 +283,8 @@ def _run_critical(args, params: ModelParams) -> int:
                     c.kind,
                     c.classification,
                     str(c.n_index),
-                    _fmt(float(analytic.zeta_field(params, c.t_c))),
-                    _fmt(float(analytic.concurrence(params, c.t_c))),
+                    _fmt(zeta),
+                    _fmt(conc),
                     _fmt(t_trans),
                 )
             )
@@ -291,18 +304,26 @@ def _run_verify(args, config: IntegratorConfig) -> int:
 
 def main(argv=None) -> int:
     args = get_args(argv)
-    try:
-        params = make_params(args.k_over_omega, args.f_over_k)
-        config = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-        if args.mode == "trace":
-            return _run_trace(args, params, config)
-        if args.mode == "figures":
-            return _run_figures(args, config)
-        if args.mode == "critical":
-            return _run_critical(args, params)
-        return _run_verify(args, config)
-    except (OracleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # overflow and invalid operations surface through the finiteness checks
+    # of the writers, not as floating-point warnings
+    with np.errstate(all="ignore"):
+        try:
+            params = make_params(args.k_over_omega, args.f_over_k)
+            config = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+            if args.mode == "trace":
+                return _run_trace(args, params, config)
+            if args.mode == "figures":
+                return _run_figures(args, config)
+            if args.mode == "critical":
+                return _run_critical(args, params)
+            return _run_verify(args, config)
+        except (OracleError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+        except ArithmeticError as exc:
+            print(
+                f"error: parameters outside the numerical range ({type(exc).__name__}: {exc})",
+                file=sys.stderr,
+            )
         return 2
 
 

@@ -14,32 +14,30 @@ module verifies that machinery on truncated matrix representations:
 Operators on the truncated Fock space are vectorized column-wise
 (stacking columns), so a map X -> A X B becomes kron(B^T, A) acting on
 vec(X).  Left multiplication by a lands in the second Kronecker factor,
-right multiplication in the first.  Truncation breaks the algebra at the
-Fock edge; every check therefore projects onto an interior subspace
+right multiplication in the first.  The maps are ``scipy.sparse``
+matrices, and the block Liouvillians come from
+:func:`.oracle.field_liouvillian`.  Truncation breaks the algebra at the
+Fock edge; every check therefore compares on an interior subspace
 (indices <= dim - 1 - margin).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
-from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from .model import ModelParams, TimeGrid
+from .model import ModelParams, TimeGrid, stationary_amplitude
 from . import analytic, oracle
 
 __all__ = [
     "SuperOpRep",
     "OdeResidualReport",
     "superop_rep",
-    "interior_projector",
-    "generator_excited",
-    "generator_ground",
-    "generator_coherence",
-    "generator_drive",
+    "interior_mask",
     "check_commutator_table",
     "residual_diagonal",
     "residual_offdiagonal",
@@ -58,21 +56,21 @@ class SuperOpRep:
     (rho -> a_dag a rho), ``number_right`` (rho -> rho a_dag a), ``jump``
     (rho -> a rho a_dag).  ``create_sum``/``create_diff`` are
     a_left_dag +- a_right_dag; ``lower_sum``/``lower_diff`` are
-    a_right +- a_left.
+    a_right +- a_left.  Every map is a sparse CSR matrix.
     """
 
     dim: int
-    a_left: np.ndarray
-    a_left_dag: np.ndarray
-    a_right: np.ndarray
-    a_right_dag: np.ndarray
-    number_left: np.ndarray
-    number_right: np.ndarray
-    jump: np.ndarray
-    create_sum: np.ndarray
-    create_diff: np.ndarray
-    lower_sum: np.ndarray
-    lower_diff: np.ndarray
+    a_left: sparse.csr_matrix
+    a_left_dag: sparse.csr_matrix
+    a_right: sparse.csr_matrix
+    a_right_dag: sparse.csr_matrix
+    number_left: sparse.csr_matrix
+    number_right: sparse.csr_matrix
+    jump: sparse.csr_matrix
+    create_sum: sparse.csr_matrix
+    create_diff: sparse.csr_matrix
+    lower_sum: sparse.csr_matrix
+    lower_diff: sparse.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -86,14 +84,14 @@ class OdeResidualReport:
 
 def superop_rep(dim: int) -> SuperOpRep:
     """Build the vectorized multiplication maps at Fock truncation *dim*."""
-    a = oracle.lowering_operator(dim)
+    a = sparse.csr_matrix(oracle.lowering_operator(dim))
     ad = a.conj().T
-    eye = np.eye(dim)
+    eye = sparse.identity(dim, dtype=complex, format="csr")
     # column-stacking: vec(A X B) = kron(B^T, A) vec(X)
-    a_left = np.kron(eye, a)
-    a_left_dag = np.kron(eye, ad)
-    a_right = np.kron(a.T, eye)
-    a_right_dag = np.kron(ad.T, eye)
+    a_left = sparse.kron(eye, a, format="csr")
+    a_left_dag = sparse.kron(eye, ad, format="csr")
+    a_right = sparse.kron(a.T, eye, format="csr")
+    a_right_dag = sparse.kron(ad.T, eye, format="csr")
     return SuperOpRep(
         dim=dim,
         a_left=a_left,
@@ -110,46 +108,12 @@ def superop_rep(dim: int) -> SuperOpRep:
     )
 
 
-def interior_projector(dim: int, margin: int) -> np.ndarray:
-    """Projector (on vectorized operators) onto Fock indices <= dim-1-margin."""
-    keep = np.zeros((dim, dim))
+def interior_mask(dim: int, margin: int) -> np.ndarray:
+    """Boolean mask (on vectorized operators) of Fock indices <= dim-1-margin."""
+    keep = np.zeros((dim, dim), dtype=bool)
     top = dim - 1 - margin
-    keep[: top + 1, : top + 1] = 1.0
-    return np.diag(keep.flatten(order="F"))
-
-
-# ---------------------------------------------------------------- generators
-
-def _damping_part(rep: SuperOpRep, kappa: float) -> np.ndarray:
-    return kappa * (2.0 * rep.jump - rep.number_left - rep.number_right)
-
-
-def generator_excited(rep: SuperOpRep, params: ModelParams) -> np.ndarray:
-    """Undriven generator of the excited-excited block: -iw(M_l - M_r) + damping."""
-    w = params.omega
-    return -1j * w * (rep.number_left - rep.number_right) + _damping_part(rep, params.kappa)
-
-
-def generator_ground(rep: SuperOpRep, params: ModelParams) -> np.ndarray:
-    """Undriven generator of the ground-ground block: +iw(M_l - M_r) + damping."""
-    w = params.omega
-    return 1j * w * (rep.number_left - rep.number_right) + _damping_part(rep, params.kappa)
-
-
-def generator_coherence(rep: SuperOpRep, params: ModelParams) -> np.ndarray:
-    """Undriven generator of the excited-ground coherence block."""
-    w = params.omega
-    eye = np.eye(rep.dim * rep.dim)
-    return (
-        -1j * w * (rep.number_left + rep.number_right + eye)
-        + _damping_part(rep, params.kappa)
-    )
-
-
-def generator_drive(rep: SuperOpRep, params: ModelParams) -> np.ndarray:
-    """Drive part, common to all blocks: -i(F * create_diff - conj(F) * lower_diff)."""
-    F = complex(params.drive)
-    return -1j * (F * rep.create_diff - np.conj(F) * rep.lower_diff)
+    keep[: top + 1, : top + 1] = True
+    return keep.flatten(order="F")
 
 
 # ---------------------------------------------------------------- commutator table
@@ -176,8 +140,8 @@ def check_commutator_table(rep: SuperOpRep, margin: int) -> float:
     """
     if rep.dim < margin + 4:
         raise ValueError("dim must be at least margin + 4")
-    proj = interior_projector(rep.dim, margin)
-    eye = np.eye(rep.dim * rep.dim)
+    keep = interior_mask(rep.dim, margin)
+    eye = sparse.identity(rep.dim * rep.dim, dtype=complex, format="csr")
     half = 0.5
     J, M, P = rep.jump, rep.number_left, rep.number_right
     Xp, Xm = rep.create_sum, rep.create_diff
@@ -204,9 +168,7 @@ def check_commutator_table(rep: SuperOpRep, margin: int) -> float:
         (comm(Xp, Ym), 2.0 * eye),
         (comm(Xm, Yp), -2.0 * eye),
     ]
-    return float(
-        max(np.max(np.abs(proj @ (lhs - rhs) @ proj)) for lhs, rhs in relations)
-    )
+    return float(max(abs((lhs - rhs)[keep][:, keep]).max() for lhs, rhs in relations))
 
 
 # ---------------------------------------------------------------- ODE residuals
@@ -287,13 +249,24 @@ def _trace_norm(m: np.ndarray) -> float:
 
 
 def _test_state(params: ModelParams, dim: int) -> np.ndarray:
-    alpha = -1j * complex(params.drive) / params.kappa
-    v = oracle.coherent_state_vector(alpha, dim)
+    v = oracle.coherent_state_vector(stationary_amplitude(params), dim)
     return np.outer(v, v.conj())
 
 
-def _edge_population(m: np.ndarray) -> float:
-    return float(abs(m[-1, -1]))
+def _block_flows(params: ModelParams, t: float, rho0: np.ndarray, left: str, right: str):
+    """exp(L t) rho0 for one field block, driven and undriven, as matrices.
+
+    Raises ValueError when the driven flow puts more than 1e-8 on the Fock edge.
+    """
+    dim = rho0.shape[0]
+    gen_full = oracle.field_liouvillian(params, dim, left, right)
+    gen_free = oracle.field_liouvillian(replace(params, drive=0.0), dim, left, right)
+    driven, free = (
+        _unvec(expm_multiply(gen * t, _vec(rho0)), dim) for gen in (gen_full, gen_free)
+    )
+    if abs(driven[-1, -1]) > 1e-8:
+        raise ValueError("truncation insufficient: edge population above 1e-8")
+    return driven, free
 
 
 def check_diagonal_disentangling(params: ModelParams, t: float, rep: SuperOpRep) -> float:
@@ -303,16 +276,10 @@ def check_diagonal_disentangling(params: ModelParams, t: float, rep: SuperOpRep)
     test projector.  Right side: D[beta_e(t)] exp(L_ee t)(.) D_dag[beta_e(t)].
     """
     dim = rep.dim
-    rho0 = _test_state(params, dim)
-    gen_free = csr_matrix(generator_excited(rep, params))
-    gen_full = csr_matrix(generator_excited(rep, params) + generator_drive(rep, params))
-    lhs = _unvec(expm_multiply(gen_full * t, _vec(rho0)), dim)
-    if _edge_population(lhs) > 1e-8:
-        raise ValueError("truncation insufficient: edge population above 1e-8")
+    lhs, inner = _block_flows(params, t, _test_state(params, dim), "e", "e")
     be = analytic.coherent_pair(params, t).beta_e
     disp = oracle.displacement_operator(be, dim)
-    rhs = disp @ _unvec(expm_multiply(gen_free * t, _vec(rho0)), dim) @ disp.conj().T
-    return _trace_norm(lhs - rhs)
+    return _trace_norm(lhs - disp @ inner @ disp.conj().T)
 
 
 def check_offdiagonal_disentangling(params: ModelParams, t: float, rep: SuperOpRep) -> float:
@@ -326,12 +293,7 @@ def check_offdiagonal_disentangling(params: ModelParams, t: float, rep: SuperOpR
     """
     dim = rep.dim
     F = complex(params.drive)
-    rho0 = 0.5 * _test_state(params, dim)
-    gen_free = csr_matrix(generator_coherence(rep, params))
-    gen_full = csr_matrix(generator_coherence(rep, params) + generator_drive(rep, params))
-    lhs = _unvec(expm_multiply(gen_full * t, _vec(rho0)), dim)
-    if _edge_population(lhs) > 1e-8:
-        raise ValueError("truncation insufficient: edge population above 1e-8")
+    lhs, inner = _block_flows(params, t, 0.5 * _test_state(params, dim), "e", "g")
     parts = analytic.phase_parts(params, t)
     p, q = parts.p, parts.q
     scalar = np.exp(
@@ -340,7 +302,6 @@ def check_offdiagonal_disentangling(params: ModelParams, t: float, rep: SuperOpR
     pair = analytic.coherent_pair(params, t)
     a = oracle.lowering_operator(dim)
     mix = p.real - 1j * q.imag
-    inner = _unvec(expm_multiply(gen_free * t, _vec(rho0)), dim)
     rhs = (
         scalar
         * oracle.displacement_operator(pair.beta_e, dim)
@@ -360,9 +321,8 @@ def check_baker_hausdorff(params: ModelParams, x: float, rep: SuperOpRep, margin
     rearranged form avoids the growing inverse exponential; it is checked
     on interior columns, where the truncated algebra is exact.
     """
-    gen = generator_excited(rep, params)
-    flow = expm(gen * x)
+    gen = oracle.field_liouvillian(replace(params, drive=0.0), rep.dim, "e", "e")
+    flow = expm(gen.toarray() * x)
     lhs = flow @ rep.create_diff
     rhs = np.exp(-(params.kappa + 1j * params.omega) * x) * rep.create_diff @ flow
-    proj = interior_projector(rep.dim, margin)
-    return float(np.max(np.abs((lhs - rhs) @ proj)))
+    return float(np.max(np.abs((lhs - rhs)[:, interior_mask(rep.dim, margin)])))

@@ -48,6 +48,7 @@ __all__ = [
     "initial_state",
     "analytic_state_dense",
     "stationary_state_dense",
+    "field_liouvillian",
     "build_generator",
     "evolve",
     "evolve_trajectory",
@@ -232,19 +233,16 @@ def stationary_state_dense(
 
 # ---------------------------------------------------------------- generator & evolution
 
-def build_generator(params: ModelParams, n_fock: int):
-    """Right-hand side of the master equation as a map on packed field blocks.
+def field_liouvillian(params: ModelParams, n_fock: int, left: str, right: str):
+    """Sparse Liouvillian of one field block rho_xy, column-stacked.
 
-    d rho/dt = -i[H, rho] + k(2 a rho a_dag - a_dag a rho - rho a_dag a)
-    with H = w[(a_dag a + 1) P_e - a_dag a P_g] + (F a_dag + conj(F) a).
-    Neither H nor the jump flips the atom, so each field block obeys
+    ``left`` and ``right`` name the atomic levels x and y, each ``"e"`` or
+    ``"g"``.  Neither H nor the jump flips the atom, so each field block obeys
     d rho_xy/dt = -i(H_x rho_xy - rho_xy H_y) + k(2 a rho_xy a_dag - ...)
     with H_e = w(a_dag a + 1) + V, H_g = -w a_dag a + V and
-    V = F a_dag + conj(F) a.  The ee (H_e, H_e), gg (H_g, H_g) and
-    eg (H_e, H_g) Liouvillians are column-stacked, vec(A X B) =
-    kron(B^T, A) vec(X) as in :mod:`.lie`, and joined block-diagonally
-    into one sparse matrix L acting on [vec ee, vec gg, vec eg] (see
-    :func:`_pack`).  Returns y -> L y, one sparse matvec per evaluation.
+    V = F a_dag + conj(F) a.  Operators are column-stacked,
+    vec(A X B) = kron(B^T, A) vec(X), so left multiplication lands in the
+    second Kronecker factor and right multiplication in the first.
     """
     w, k, F = params.omega, params.kappa, complex(params.drive)
     eye = sparse.identity(n_fock, dtype=complex, format="csr")
@@ -252,17 +250,29 @@ def build_generator(params: ModelParams, n_fock: int):
     a_dag = a.conj().T
     num = a_dag @ a
     drive = F * a_dag + np.conj(F) * a
-    h_e = w * (num + eye) + drive
-    h_g = -w * num + drive
+    hamiltonians = {"e": w * (num + eye) + drive, "g": -w * num + drive}
+    if left not in hamiltonians or right not in hamiltonians:
+        raise ValueError(f"field block levels must be 'e' or 'g', got {left!r}, {right!r}")
+    h_left, h_right = hamiltonians[left], hamiltonians[right]
     damping = k * (
         2.0 * sparse.kron(a.conj(), a) - sparse.kron(eye, num) - sparse.kron(num.T, eye)
     )
+    return -1j * (sparse.kron(eye, h_left) - sparse.kron(h_right.T, eye)) + damping
 
-    def block(h_left, h_right):
-        return -1j * (sparse.kron(eye, h_left) - sparse.kron(h_right.T, eye)) + damping
 
+def build_generator(params: ModelParams, n_fock: int):
+    """Right-hand side of the master equation as a map on packed field blocks.
+
+    d rho/dt = -i[H, rho] + k(2 a rho a_dag - a_dag a rho - rho a_dag a)
+    with H = w[(a_dag a + 1) P_e - a_dag a P_g] + (F a_dag + conj(F) a).
+    The ee, gg and eg Liouvillians of :func:`field_liouvillian` are joined
+    block-diagonally into one sparse matrix L acting on
+    [vec ee, vec gg, vec eg] (see :func:`_pack`).  Returns y -> L y, one
+    sparse matvec per evaluation.
+    """
     liouvillian = sparse.block_diag(
-        [block(h_e, h_e), block(h_g, h_g), block(h_e, h_g)], format="csr"
+        [field_liouvillian(params, n_fock, x, y) for x, y in ("ee", "gg", "eg")],
+        format="csr",
     )
 
     def generator(y: np.ndarray) -> np.ndarray:

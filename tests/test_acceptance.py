@@ -7,6 +7,8 @@ below turn each group of checks into one pass/fail line under
 actually measures the quantities it claims to measure.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,19 @@ def test_criterion_5_concurrence_routes_agree(results):
 
 def test_criterion_6_structural_identities_hold(results):
     _assert_all_pass(_rows(results, "c6"))
+
+
+def test_criterion_6_runs_in_little_memory():
+    # the Lie checks work on sparse maps: dense 1600-square maps at dim 40
+    # held about half a gigabyte
+    tracemalloc.start()
+    try:
+        rows = acceptance.criterion_6()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_all_pass(rows)
+    assert peak < 32 << 20
 
 
 def test_criterion_7_exact_reductions_and_invariances(results):

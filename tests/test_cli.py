@@ -1,14 +1,19 @@
 """Command-line interface: CSV schemas, determinism, config handling."""
 
+import contextlib
 import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dispersive_jcm
 from dispersive_jcm import cli
@@ -177,6 +182,58 @@ def test_bad_grid_arguments_are_rejected(tmp_path, capsys):
             assert exc.value.code == 2
             assert capsys.readouterr().err.splitlines()[-1].startswith("dispersive-jcm: error:")
             assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, k_over_omega, f_over_k",
+    [
+        ("trace", "1e-200", "1.0"),  # was ZeroDivisionError in _theta_gamma
+        ("trace", "1.0", "1e200"),  # was OverflowError in _phi
+        ("trace", "1e100", "1.0"),  # was OverflowError in _phi
+        ("trace", "4.27e-125", "3.28e242"),  # was NaN/inf columns with exit 0
+        ("critical", "1.81e-116", "3.11e214"),  # was a NaN concurrence_at_tc
+    ],
+)
+def test_out_of_range_ratios_exit_2_with_one_line(tmp_path, capsys, mode, k_over_omega, f_over_k):
+    out = tmp_path / "out.csv"
+    rc = cli.main(
+        [f"--mode={mode}", f"--k-over-omega={k_over_omega}", f"--f-over-k={f_over_k}",
+         "--points", "3", "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+    assert not out.with_name(out.name + ".tmp").exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(["trace", "critical"]),
+    k_over_omega=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    f_over_k=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+def test_any_finite_ratios_give_finite_csv_or_one_error_line(mode, k_over_omega, f_over_k):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(
+                [f"--mode={mode}", f"--k-over-omega={k_over_omega!r}",
+                 f"--f-over-k={f_over_k!r}", "--points", "3", "--out", str(out)]
+            )
+        assert rc in (0, 2)
+        if rc == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert not out.exists()
+            return
+        header, rows = _read_csv(out)
+        skip = {"kind", "classification", "t_trans"}
+        for row in rows:
+            for name, cell in zip(header, row):
+                if name not in skip:
+                    assert math.isfinite(float(cell)), (name, cell)
 
 
 def test_invalid_physics_parameters_exit_nonzero(tmp_path, capsys):

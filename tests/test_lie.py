@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from dispersive_jcm import lie
+from dispersive_jcm import lie, oracle
+from dispersive_jcm.lie import SuperOpRep
 from dispersive_jcm.model import ModelParams, TimeGrid
 
 P111 = ModelParams(1.0, 1.0, 1.0)
@@ -33,14 +35,48 @@ def test_superop_rep_implements_left_and_right_multiplication():
     assert np.allclose(_unvec(rep.jump @ _vec(x), dim), a @ x @ a.conj().T)
     assert np.allclose(_unvec(rep.number_left @ _vec(x), dim), a.conj().T @ a @ x)
     assert np.allclose(_unvec(rep.number_right @ _vec(x), dim), x @ a.conj().T @ a)
+    for name in SuperOpRep.__dataclass_fields__:
+        if name != "dim":
+            assert sparse.issparse(getattr(rep, name)), name
 
 
-def test_interior_projector_is_a_diagonal_idempotent():
-    proj = lie.interior_projector(6, 2)
-    assert np.allclose(proj @ proj, proj)
-    assert np.allclose(proj, np.diag(np.diag(proj)))
+def test_interior_mask_keeps_the_interior_block_in_column_order():
+    dim, margin = 6, 2
+    mask = lie.interior_mask(dim, margin)
+    assert mask.dtype == bool and mask.shape == (dim * dim,)
     # keeps (dim - margin)^2 matrix elements
-    assert np.isclose(np.trace(proj), 16.0)
+    assert mask.sum() == (dim - margin) ** 2
+    # column-stacked: flat index i + dim * j is the element (i, j)
+    rows, cols = np.divmod(np.flatnonzero(mask), dim)[::-1]
+    assert rows.max() == cols.max() == dim - 1 - margin
+    x = np.arange(dim * dim).reshape(dim, dim)
+    assert np.array_equal(_vec(x)[mask], _vec(x[: dim - margin, : dim - margin]))
+
+
+def test_field_liouvillian_is_the_algebra_form_of_each_block():
+    # the undriven block generators written in the superoperator algebra
+    # (M, P number maps, J jump, X-/Y- drive maps), and the drive added by F
+    dim = 7
+    rep = lie.superop_rep(dim)
+    driven = ModelParams(1.3, 0.4, 0.6 - 0.8j)
+    free = ModelParams(1.3, 0.4, 0.0)
+    w, k, F = driven.omega, driven.kappa, complex(driven.drive)
+    M, P, J = rep.number_left, rep.number_right, rep.jump
+    eye = sparse.identity(dim * dim)
+    damping = k * (2.0 * J - M - P)
+    expected = {
+        "ee": -1j * w * (M - P) + damping,
+        "gg": 1j * w * (M - P) + damping,
+        "eg": -1j * w * (M + P + eye) + damping,
+    }
+    drive = -1j * (F * rep.create_diff - np.conj(F) * rep.lower_diff)
+    for (left, right), form in expected.items():
+        undriven = oracle.field_liouvillian(free, dim, left, right)
+        assert np.allclose(undriven.toarray(), form.toarray(), rtol=0.0, atol=1e-14)
+        added = oracle.field_liouvillian(driven, dim, left, right) - undriven
+        assert np.allclose(added.toarray(), drive.toarray(), rtol=0.0, atol=1e-14)
+    with pytest.raises(ValueError, match="'e' or 'g'"):
+        oracle.field_liouvillian(free, dim, "e", "ge")
 
 
 def test_jump_bracket_with_right_number_reproduces_jump():
