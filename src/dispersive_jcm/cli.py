@@ -226,7 +226,8 @@ def _trace_lines(
     header = list(TRACE_COLUMNS)
     data = [times / math.pi] + [columns[name] for name in TRACE_COLUMNS[1:]]
     if with_oracle:
-        oracle_columns = oracle.series(params, times, config)
+        _, _, beta_e_prime, beta_g_prime = analytic._amplitudes(params, times)
+        oracle_columns = oracle.series(params, times, beta_e_prime, beta_g_prime, config)
         header += list(ORACLE_COLUMNS)
         data += [oracle_columns[name[len("oracle_"):]] for name in ORACLE_COLUMNS]
     table = np.column_stack(data)

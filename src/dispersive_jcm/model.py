@@ -23,7 +23,22 @@ __all__ = [
     "DispersiveValidityWarning",
     "make_params",
     "stationary_amplitude",
+    "SCALE_LIMIT",
+    "DAMPING_RANGE",
 ]
+
+#: Range of the closed forms' scales.  ModelParams rejects a denominator
+#: outside [1/SCALE_LIMIT, SCALE_LIMIT] or a drive scale above SCALE_LIMIT.
+#: The factor of about 1e8 to the float limits is headroom for the bounded
+#: and O(t) factors these scales are multiplied by on the paper's horizons.
+SCALE_LIMIT = 1e300
+
+#: Range of kappa/omega the closed forms resolve; omega = 0, the decoupled
+#: case, is exact and exempt.  Re phi is what is left after terms as large
+#: as |F|^2/kappa^2 cancel.  Far outside this range (below about 1e-11 or
+#: above about 1e15 on the paper's horizon) that remainder is rounding noise,
+#: which can turn Re phi positive and overflow exp(2 Re phi).
+DAMPING_RANGE = (1e-10, 1e10)
 
 
 class DispersiveValidityWarning(UserWarning):
@@ -35,8 +50,13 @@ class ModelParams:
     """Physical constants of the driven, damped, dispersively coupled system.
 
     Construction raises ``ValueError`` when ``kappa <= 0``, ``omega < 0``,
-    or any field is non-finite.  When the optional ``validity`` pair is
-    present, it emits a :class:`DispersiveValidityWarning` if the scale
+    any field is non-finite, or a scale of the closed forms leaves the
+    range they resolve: kappa/omega outside [1e-10, 1e10] (unless
+    omega = 0; :data:`DAMPING_RANGE`); kappa^2, kappa (kappa^2 + omega^2)
+    or kappa^2 (kappa^2 + omega^2)^2 outside [1e-300, 1e300]; or |F|^2,
+    |F|^2/kappa^2, |F|^2/(kappa (kappa^2 + omega^2)) or
+    |F|^2 omega^2 (kappa + omega)^2 above 1e300 (:data:`SCALE_LIMIT`).
+    When the optional ``validity`` pair is present, it emits a :class:`DispersiveValidityWarning` if the scale
     separation ``detuning/coupling >= 10 * |drive|/kappa`` fails.  The
     factor 10 is a documented convention (the regime condition is a strict
     ``>>`` with no canonical threshold); the math downstream is well
@@ -73,6 +93,7 @@ class ModelParams:
         drive = complex(self.drive)
         if not (math.isfinite(drive.real) and math.isfinite(drive.imag)):
             raise ValueError("drive must be finite")
+        _check_scales(self.omega, self.kappa, abs(drive))
         if self.validity is not None:
             coupling, detuning = self.validity
             if not (math.isfinite(coupling) and coupling > 0):
@@ -128,6 +149,44 @@ class TimeGrid:
     @property
     def points(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_points)
+
+
+def _check_scales(omega: float, kappa: float, drive_abs: float) -> None:
+    """Raise ValueError when kappa/omega or a closed-form scale leaves its range.
+
+    Products only: float multiplication and division saturate to 0 or inf
+    where ``**`` would raise.
+    """
+    low, high = DAMPING_RANGE
+    if omega > 0.0 and not low <= kappa / omega <= high:
+        raise ValueError(
+            f"kappa/omega = {kappa / omega:.3g} is outside the closed forms' range "
+            f"[{low:g}, {high:g}]"
+        )
+    k2 = kappa * kappa
+    w2 = k2 + omega * omega
+    f2 = drive_abs * drive_abs
+    for name, value in (
+        ("kappa^2", k2),
+        ("kappa (kappa^2 + omega^2)", kappa * w2),
+        ("kappa^2 (kappa^2 + omega^2)^2", k2 * w2 * w2),
+    ):
+        if not 1.0 / SCALE_LIMIT <= value <= SCALE_LIMIT:
+            raise ValueError(
+                f"{name} = {value:.3g} is outside the closed forms' range "
+                f"[{1.0 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}]"
+            )
+    reach = kappa + omega
+    for name, value in (
+        ("|F|^2", f2),
+        ("|F|^2/kappa^2", f2 / k2),
+        ("|F|^2/(kappa (kappa^2 + omega^2))", f2 / (kappa * w2)),
+        ("|F|^2 omega^2 (kappa + omega)^2", f2 * omega * omega * reach * reach),
+    ):
+        if not value <= SCALE_LIMIT:
+            raise ValueError(
+                f"{name} = {value:.3g} is above the closed forms' range (at most {SCALE_LIMIT:g})"
+            )
 
 
 def make_params(k_over_omega: float, f_over_k: float) -> ModelParams:

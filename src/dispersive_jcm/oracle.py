@@ -1,11 +1,11 @@
 """Brute-force verification on a truncated atom-field space.
 
 Everything here is deliberately independent of the closed forms in
-:mod:`.analytic`: the master equation is integrated directly with an
-adaptive high-order Runge-Kutta scheme, and all observables (entropies,
-correlation, Wootters concurrence) are computed from the resulting density
-matrix.  Agreement with the analytic module is the package's central
-acceptance criterion.
+:mod:`.analytic`, and this module imports nothing from it: the master
+equation is integrated directly with an adaptive high-order Runge-Kutta
+scheme, and all observables (entropies, correlation, Wootters concurrence)
+are computed from the resulting density matrix.  Agreement with the
+analytic module is the package's central acceptance criterion.
 
 Neither the Hamiltonian nor the cavity jump flips the atom, so the
 excited-excited, ground-ground and excited-ground field blocks of the
@@ -13,7 +13,9 @@ joint state evolve independently (the ground-excited block is the adjoint
 of the excited-ground one).  The integrator therefore carries the three
 blocks column-stacked in one packed vector of 3(N+1)^2 entries and
 applies one block-diagonal sparse Liouvillian per right-hand side; dense
-joint matrices are rebuilt only at the requested times.
+joint matrices are rebuilt only at the requested times.  Measurement
+functions accept one joint matrix or a stack of them (a leading batch
+axis), so :func:`series` extracts its columns a stack at a time.
 
 Basis convention: the joint space is (atom) tensor (Fock), atom index
 major, with atomic index 0 = excited and 1 = ground.  A joint matrix is
@@ -31,9 +33,9 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import DOP853
 from scipy.linalg import expm
+from scipy.special import pdtrc
 
 from .model import AtomicAmplitudes, ModelParams, stationary_amplitude
-from . import analytic
 
 __all__ = [
     "FockDensityMatrix",
@@ -46,8 +48,6 @@ __all__ = [
     "displacement_operator",
     "coherent_state_vector",
     "initial_state",
-    "analytic_state_dense",
-    "stationary_state_dense",
     "field_liouvillian",
     "build_generator",
     "evolve",
@@ -76,9 +76,20 @@ MEMORY_BUDGET_BYTES = 1 << 30
 # interpolant and step vectors, and the sparse generator with its build
 # temporaries.  With the dense 2(N+1)-square matrices of one extracted point
 # this is the tracemalloc peak of an integration with extraction, within a
-# few percent, for N from 40 to 250.  The budget then admits N up to 616.
+# few percent, for N from 180 to 250.  The budget then admits N up to 616.
 _PACKED_COPIES = 48
 _DENSE_COPIES = 8
+
+# Points interpolated or extracted together, and the memory such a stack may
+# take: below N of about 180 the stacks add up to 4 MiB to the plan above
+# (6.6 MiB against 4.5 MiB planned at N = 40); above it a stack is one point.
+_STACK_POINTS = 16
+_STACK_BYTES = 1 << 22
+
+
+def _stack_points(bytes_per_point: int) -> int:
+    """Points per stack: _STACK_POINTS, fewer where they would exceed _STACK_BYTES."""
+    return max(1, min(_STACK_POINTS, _STACK_BYTES // bytes_per_point))
 
 
 def _check_affordable(n_levels: float) -> None:
@@ -141,20 +152,37 @@ class TwoQubitEmbedding:
 
 # ---------------------------------------------------------------- construction
 
+# Poisson tail weight a truncation may leave above its top level
+_TAIL_WEIGHT = 1e-12
+
+
 def fock_truncation(params: ModelParams) -> int:
     """Truncation index N from the amplitude bound abar = 2|F|/k.
 
     Every coherent amplitude in the dynamics (stationary -iF/k plus
-    transient displacements) has modulus at most abar, and
-    N = ceil(abar^2 + 8 abar + 20) pushes the Poisson tail of such a state
-    below 1e-12.  Raises :class:`OracleError` when an integration at that
-    truncation would not fit :data:`MEMORY_BUDGET_BYTES`.
+    transient displacements) has modulus at most abar, so its photon
+    number is Poisson with mean at most abar^2.  N is one level above the
+    smallest k with P(Poisson(abar^2) > k) <= 1e-12, found by bisection on
+    ``scipy.special.pdtrc``; the extra level keeps the top one, which the
+    edge guard watches, clear of the tail.  abar = 0 gives N = 1.  Raises
+    :class:`OracleError` when an integration at that truncation would not
+    fit :data:`MEMORY_BUDGET_BYTES`.
     """
     abar = 2.0 * abs(params.drive) / params.kappa
-    bound = abar * abar + 8.0 * abar + 20.0
-    truncation = math.ceil(bound) if math.isfinite(bound) else bound
+    mean = abar * abar
+    # Poisson concentration, P(X >= mean + sqrt(2 mean x) + x) <= exp(-x) with
+    # x = ln(1e12) < 28, bounds the quantile from above (finite: ModelParams
+    # keeps abar^2 below 4e300)
+    fails, holds = -1, math.ceil(mean + 28.0 + math.sqrt(56.0 * mean))
+    while holds - fails > 1:
+        mid = (fails + holds) // 2
+        if pdtrc(float(mid), mean) <= _TAIL_WEIGHT:
+            holds = mid
+        else:
+            fails = mid
+    truncation = holds + 1
     _check_affordable(truncation + 1)
-    return int(truncation)
+    return truncation
 
 
 def lowering_operator(n_levels: int) -> np.ndarray:
@@ -168,15 +196,19 @@ def displacement_operator(alpha: complex, n_levels: int) -> np.ndarray:
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
-def coherent_state_vector(alpha: complex, n_levels: int) -> np.ndarray:
-    """Fock coefficients of |alpha> up to n_levels, via a log-space recurrence."""
-    if alpha == 0:
-        v = np.zeros(n_levels, complex)
-        v[0] = 1.0
-        return v
+def coherent_state_vector(alpha, n_levels: int) -> np.ndarray:
+    """Fock coefficients of |alpha> up to n_levels, via a log-space recurrence.
+
+    Array-capable in alpha: the result has shape alpha.shape + (n_levels,).
+    """
+    alpha = np.asarray(alpha, dtype=complex)
     ns = np.arange(n_levels)
-    logs = ns * math.log(abs(alpha)) - 0.5 * np.cumsum(np.log(np.maximum(ns, 1)))
-    return np.exp(-0.5 * abs(alpha) ** 2 + logs) * np.exp(1j * ns * np.angle(complex(alpha)))
+    modulus = np.abs(alpha)[..., None]
+    vacuum = modulus == 0.0
+    log_mod = np.log(np.where(vacuum, 1.0, modulus))
+    logs = ns * log_mod - 0.5 * np.cumsum(np.log(np.maximum(ns, 1)))
+    vec = np.exp(-0.5 * modulus**2 + logs) * np.exp(1j * ns * np.angle(alpha)[..., None])
+    return np.where(vacuum, (ns == 0).astype(complex), vec)
 
 
 def initial_state(
@@ -194,41 +226,6 @@ def initial_state(
     # state the integrator emits
     data = _unpack(_pack(np.outer(psi, psi.conj()), n), n)
     return FockDensityMatrix(n_fock=n, data=data, time=0.0)
-
-
-def analytic_state_dense(
-    params: ModelParams, amps: AtomicAmplitudes, t: float, n_fock: int
-) -> np.ndarray:
-    """Dense expansion of the closed-form joint state at time t."""
-    elems = analytic.matrix_elements(params, amps, t)
-    n = n_fock
-    rho = np.zeros((2 * n, 2 * n), complex)
-
-    def block(elem):
-        ket = coherent_state_vector(elem.ket_amplitude, n)
-        bra = coherent_state_vector(elem.bra_amplitude, n)
-        return elem.weight * np.outer(ket, bra.conj())
-
-    rho[:n, :n] = block(elems["rho_ee"])
-    rho[n:, n:] = block(elems["rho_gg"])
-    eg = block(elems["rho_eg"])
-    rho[:n, n:] = eg
-    rho[n:, :n] = eg.conj().T
-    return rho
-
-
-def stationary_state_dense(
-    params: ModelParams, amps: AtomicAmplitudes, n_fock: int
-) -> np.ndarray:
-    """Dense expansion of the asymptotic classically correlated state."""
-    stat = analytic.stationary_state(params, amps)
-    n = n_fock
-    rho = np.zeros((2 * n, 2 * n), complex)
-    v_e = coherent_state_vector(stat["amp_e"], n)
-    v_g = coherent_state_vector(stat["amp_g"], n)
-    rho[:n, :n] = stat["weight_e"] * np.outer(v_e, v_e.conj())
-    rho[n:, n:] = stat["weight_g"] * np.outer(v_g, v_g.conj())
-    return rho
 
 
 # ---------------------------------------------------------------- generator & evolution
@@ -318,9 +315,10 @@ def evolve_trajectory(
     ge block of ``rho0`` is not read: a density matrix has ge = eg^dag);
     matrices are interpolated from the integrator's dense output and
     unpacked, so the cost is one integration regardless of how many points
-    are requested.  Raises :class:`OracleError` when the edge Fock
-    population exceeds 1e-8 at any accepted step or the integrator fails
-    (step-size underflow).
+    are requested.  Each accepted step evaluates its interpolant once for
+    all requested times inside it (in slices of at most 16 points).  Raises
+    :class:`OracleError` when the edge Fock population exceeds 1e-8 at any
+    accepted step or the integrator fails (step-size underflow).
     """
     config = config or IntegratorConfig()
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -353,6 +351,7 @@ def evolve_trajectory(
         max_step=config.max_step,
     )
     edges = (n * n - 1, 2 * n * n - 1)  # ee[N, N] and gg[N, N] in the packed vector
+    points = _stack_points(2 * 16 * 3 * n * n)  # interpolated states and their transpose
     try:
         while solver.status == "running":
             message = solver.step()
@@ -365,11 +364,16 @@ def evolve_trajectory(
                     f"edge Fock population {edge:.3e} at t={solver.t:.6g}: truncation blow-up"
                 )
             if ptr < times.size and solver.t >= times[ptr]:
+                # the step's requested times in one interpolant call per slice;
+                # slices bound the memory a dense grid could take
                 dense = solver.dense_output()
-                while ptr < times.size and times[ptr] <= solver.t:
-                    out = np.ascontiguousarray(dense(times[ptr])).view(complex)
-                    yield float(times[ptr]), _unpack(out, n)
-                    ptr += 1
+                stop = int(np.searchsorted(times, solver.t, side="right"))
+                for first in range(ptr, stop, points):
+                    batch = times[first:min(stop, first + points)]
+                    states = np.ascontiguousarray(dense(batch).T).view(complex)
+                    for t, y in zip(batch, states):
+                        yield float(t), _unpack(y, n)
+                ptr = stop
     finally:
         # the solver refers to itself through its fun closures: break that
         # cycle so it and its stage buffers are freed now, not at a full GC
@@ -402,18 +406,22 @@ def evolve(
     return FockDensityMatrix(rho0.n_fock, final / tr, float(t_end)).validate()
 
 
+def _matrices(rho) -> np.ndarray:
+    return rho.data if isinstance(rho, FockDensityMatrix) else np.asarray(rho)
+
+
 def partial_trace_field(rho: FockDensityMatrix | np.ndarray) -> np.ndarray:
-    """Trace out the field: 2x2 atomic matrix (index 0 = excited)."""
-    data = rho.data if isinstance(rho, FockDensityMatrix) else rho
-    n = data.shape[0] // 2
-    return np.einsum("ikjk->ij", data.reshape(2, n, 2, n))
+    """Trace out the field: 2x2 atomic matrix (index 0 = excited), per stacked state."""
+    data = _matrices(rho)
+    n = data.shape[-1] // 2
+    return np.einsum("...ikjk->...ij", data.reshape(data.shape[:-2] + (2, n, 2, n)))
 
 
 def partial_trace_atom(rho: FockDensityMatrix | np.ndarray) -> np.ndarray:
-    """Trace out the atom: (N+1)x(N+1) field matrix."""
-    data = rho.data if isinstance(rho, FockDensityMatrix) else rho
-    n = data.shape[0] // 2
-    return np.einsum("kikj->ij", data.reshape(2, n, 2, n))
+    """Trace out the atom: (N+1)x(N+1) field matrix, per stacked state."""
+    data = _matrices(rho)
+    n = data.shape[-1] // 2
+    return np.einsum("...kikj->...ij", data.reshape(data.shape[:-2] + (2, n, 2, n)))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -422,7 +430,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def embed_two_qubit(
-    rho: FockDensityMatrix | np.ndarray, beta_e_prime: complex, beta_g_prime: complex
+    rho: FockDensityMatrix | np.ndarray, beta_e_prime, beta_g_prime
 ) -> TwoQubitEmbedding:
     """Project the joint state onto atom x span{|beta_e'>, |beta_g'>}.
 
@@ -430,60 +438,86 @@ def embed_two_qubit(
     |beta_e'>.  When the two coherent states coincide up to 1e-14 in
     overlap (disentanglement instants and t = 0), the span degenerates to
     one dimension; the second basis vector is then taken as the orthogonal
-    displaced first-excited direction and the result is flagged.
+    displaced first-excited direction and the result is flagged.  Each
+    field block rho_xy is projected as basis^H rho_xy basis.
+
+    A stack of m joint matrices takes m amplitudes of each kind and gives
+    an (m, 4, 4) matrix with per-state leakage and degenerate arrays; one
+    matrix gives a 4x4 matrix, a float and a bool.
     """
-    data = rho.data if isinstance(rho, FockDensityMatrix) else rho
-    n = data.shape[0] // 2
-    f1 = coherent_state_vector(beta_e_prime, n)
-    f2_raw = coherent_state_vector(beta_g_prime, n)
-    overlap = np.vdot(f1, f2_raw)
-    degenerate = abs(overlap) > 1.0 - 1e-14
-    if degenerate:
-        f2 = displacement_operator(beta_e_prime, n)[:, 1]
-    else:
-        f2 = f2_raw - overlap * f1
-        f2 = f2 / np.linalg.norm(f2)
-    basis = np.stack([f1, f2], axis=1)  # n x 2
-    proj = np.kron(np.eye(2), basis)  # 2n x 4
-    reduced = proj.conj().T @ data @ proj
-    tr = float(np.real(np.trace(reduced)))
-    return TwoQubitEmbedding(matrix=reduced / tr, leakage=1.0 - tr, degenerate=degenerate)
+    data = _matrices(rho)
+    stack = data.reshape((-1,) + data.shape[-2:])
+    m, n = stack.shape[0], stack.shape[-1] // 2
+    u = np.broadcast_to(np.asarray(beta_e_prime, dtype=complex), (m,))
+    v = np.broadcast_to(np.asarray(beta_g_prime, dtype=complex), (m,))
+    f1 = coherent_state_vector(u, n)
+    f2_raw = coherent_state_vector(v, n)
+    overlap = np.einsum("mi,mi->m", f1.conj(), f2_raw)
+    degenerate = np.abs(overlap) > 1.0 - 1e-14
+    f2 = f2_raw - overlap[:, None] * f1
+    norm = np.linalg.norm(f2, axis=1, keepdims=True)
+    f2 = f2 / np.where(degenerate[:, None], 1.0, norm)
+    for i in np.flatnonzero(degenerate):
+        f2[i] = displacement_operator(u[i], n)[:, 1]
+    basis = np.stack([f1, f2], axis=-1)  # m x n x 2
+    blocks = stack.reshape(m, 2, n, 2, n).transpose(0, 1, 3, 2, 4)  # [m, x, y] = rho_xy
+    reduced = (
+        basis.conj().transpose(0, 2, 1)[:, None, None] @ blocks @ basis[:, None, None]
+    )  # [m, x, y, a, b]
+    reduced = reduced.transpose(0, 1, 3, 2, 4).reshape(m, 4, 4)
+    tr = np.real(np.trace(reduced, axis1=1, axis2=2))
+    matrix = reduced / tr[:, None, None]
+    if data.ndim == 2:
+        return TwoQubitEmbedding(matrix[0], float(1.0 - tr[0]), bool(degenerate[0]))
+    return TwoQubitEmbedding(matrix, 1.0 - tr, degenerate)
 
 
 _SIGMA_YY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])).real
 
 
-def wootters_concurrence(rho4: np.ndarray) -> float:
-    """Concurrence of a two-qubit density matrix.
+def wootters_concurrence(rho4: np.ndarray):
+    """Concurrence of a two-qubit density matrix, or of each in a stack.
 
     Uses the eigenvalues of rho * rho_tilde with rho_tilde =
     (sy x sy) conj(rho) (sy x sy): their square roots sorted descending
-    give C = max(0, x1 - x2 - x3 - x4).
+    give C = max(0, x1 - x2 - x3 - x4).  A 4x4 matrix gives a float, an
+    (m, 4, 4) stack an array of m; any matrix that is not positive
+    semidefinite within 1e-8 raises ValueError.
     """
-    if rho4.shape != (4, 4):
+    rho4 = np.asarray(rho4)
+    if rho4.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if float(np.linalg.eigvalsh(rho4)[0]) < -1e-8:
+    if float(np.min(np.linalg.eigvalsh(rho4)[..., 0])) < -1e-8:
         raise ValueError("input is not positive semidefinite within 1e-8")
     rho_tilde = _SIGMA_YY @ rho4.conj() @ _SIGMA_YY
     evals = np.linalg.eigvals(rho4 @ rho_tilde)
-    x = np.sqrt(np.sort(np.abs(np.real(evals)))[::-1])
-    return float(max(0.0, x[0] - x[1] - x[2] - x[3]))
+    x = np.sqrt(np.sort(np.abs(np.real(evals)), axis=-1)[..., ::-1])
+    conc = np.maximum(0.0, x[..., 0] - x[..., 1] - x[..., 2] - x[..., 3])
+    return float(conc) if conc.ndim == 0 else conc
 
 
 def observables(rho: FockDensityMatrix | np.ndarray) -> dict:
-    """Scalar observables of a joint state.
+    """Scalar observables of a joint state, or arrays over a stack of them.
 
-    purity = tr rho^2; linear_entropy = 1 - purity; nbar = mean photon
-    number of the reduced field; coherence_magnitude = trace norm of the
-    excited-ground block (equal to exp(Re phi)/2 for the balanced
-    analytic state).
+    purity = tr rho^2 = ||ee||^2 + ||gg||^2 + 2||eg||^2 (Frobenius norms of
+    the field blocks, with ge = eg^dag); linear_entropy = 1 - purity;
+    nbar = mean photon number of the reduced field; coherence_magnitude =
+    trace norm of the excited-ground block (equal to exp(Re phi)/2 for the
+    balanced analytic state).
     """
-    data = rho.data if isinstance(rho, FockDensityMatrix) else rho
-    n = data.shape[0] // 2
-    purity = float(np.real(np.einsum("ij,ji->", data, data)))
-    field = partial_trace_atom(data)
-    nbar = float(np.real(np.sum(np.arange(n) * np.diag(field))))
-    coher = float(np.sum(np.linalg.svd(data[:n, n:], compute_uv=False)))
+    data = _matrices(rho)
+    n = data.shape[-1] // 2
+    ee, gg, eg = data[..., :n, :n], data[..., n:, n:], data[..., :n, n:]
+
+    def norm_sq(block):
+        return np.einsum("...ij,...ij->...", block.conj(), block).real
+
+    purity = norm_sq(ee) + norm_sq(gg) + 2.0 * norm_sq(eg)
+    photons = np.einsum("...kk->...k", ee + gg).real
+    nbar = photons @ np.arange(n, dtype=float)
+    coher = np.linalg.svd(eg, compute_uv=False).sum(axis=-1)
+    if data.ndim == 2:
+        purity, nbar, coher = float(purity), float(nbar), float(coher)
     return {
         "purity": purity,
         "linear_entropy": 1.0 - purity,
@@ -492,32 +526,69 @@ def observables(rho: FockDensityMatrix | np.ndarray) -> dict:
     }
 
 
-def series(params: ModelParams, times, config: IntegratorConfig | None = None) -> dict:
+_SERIES_COLUMNS = ("zeta_global", "zeta_atom", "zeta_field", "corr_c", "concurrence", "re_phi")
+
+
+def _stack_columns(stack: np.ndarray, beta_e_prime, beta_g_prime) -> dict:
+    """The columns of :func:`series` for a stack of joint matrices."""
+    obs = observables(stack)
+    atom = partial_trace_field(stack)
+    field = partial_trace_atom(stack)
+    n = field.shape[-1]
+    blocks = stack.reshape(-1, 2, n, 2, n)
+    # tr(rho_xy rho_F) for each pair of atomic levels
+    overlap = np.einsum("mxiyj,mji->mxy", blocks, field)
+    atom_purity = np.einsum("mij,mji->m", atom, atom).real
+    field_purity = np.einsum("mij,mji->m", field, field).real
+    # ||rho - rho_A x rho_F||^2 = tr rho^2 - 2 tr[rho (rho_A x rho_F)] + tr rho_A^2 tr rho_F^2,
+    # where tr[rho (rho_A x rho_F)] = sum_xy (rho_A)_yx tr(rho_xy rho_F)
+    cross = np.einsum("myx,mxy->m", atom, overlap).real
+    coher = 2.0 * obs["coherence_magnitude"]
+    emb = embed_two_qubit(stack, beta_e_prime, beta_g_prime)
+    with np.errstate(divide="ignore"):
+        re_phi = np.log(coher)  # -inf where the coherence vanishes
+    return {
+        "zeta_global": obs["linear_entropy"],
+        "zeta_atom": 1.0 - atom_purity,
+        "zeta_field": 1.0 - field_purity,
+        "corr_c": obs["purity"] - 2.0 * cross + atom_purity * field_purity,
+        "concurrence": wootters_concurrence(emb.matrix),
+        "re_phi": re_phi,
+    }
+
+
+def series(
+    params: ModelParams,
+    times,
+    beta_e_prime,
+    beta_g_prime,
+    config: IntegratorConfig | None = None,
+) -> dict:
     """Integrated counterparts of the compared observables on a time grid.
 
-    One master-equation integration per call; the concurrence column uses
-    the two-qubit embedding along the closed-form conditioned amplitudes,
-    and ``re_phi`` is recovered as log(2 * coherence magnitude).
+    One master-equation integration per call.  ``beta_e_prime`` and
+    ``beta_g_prime`` hold one conditioned field amplitude of each kind per
+    time: the concurrence column embeds each state in two qubits along
+    them (see :func:`embed_two_qubit`), and the caller supplies them, so
+    this module needs no closed form.  ``re_phi`` is recovered as
+    log(2 * coherence magnitude).  Emitted matrices are extracted in
+    stacks of up to 16 (fewer at large N), so memory does not grow with
+    the grid.
     """
     times = np.asarray(times, dtype=float)
-    amps = AtomicAmplitudes.symmetric()
-    rho0 = initial_state(params, amps)
-    _, _, u_arr, v_arr = analytic._amplitudes(params, times)
-    out = {
-        key: np.empty(times.size)
-        for key in ("zeta_global", "zeta_atom", "zeta_field", "corr_c", "concurrence", "re_phi")
-    }
+    u = np.broadcast_to(np.asarray(beta_e_prime, dtype=complex), times.shape)
+    v = np.broadcast_to(np.asarray(beta_g_prime, dtype=complex), times.shape)
+    rho0 = initial_state(params, AtomicAmplitudes.symmetric())
+    out = {key: np.empty(times.size) for key in _SERIES_COLUMNS}
+    d = 2 * rho0.n_fock
+    stack = np.empty((min(_stack_points(16 * d * d), times.size), d, d), complex)
+    held = 0
     for i, (_, mat) in enumerate(evolve_trajectory(params, rho0, times, config)):
-        obs = observables(mat)
-        atom = partial_trace_field(mat)
-        fld = partial_trace_atom(mat)
-        delta = mat - np.kron(atom, fld)
-        emb = embed_two_qubit(mat, complex(u_arr[i]), complex(v_arr[i]))
-        out["zeta_global"][i] = obs["linear_entropy"]
-        out["zeta_atom"][i] = 1.0 - float(np.real(np.einsum("ij,ji->", atom, atom)))
-        out["zeta_field"][i] = 1.0 - float(np.real(np.einsum("ij,ji->", fld, fld)))
-        out["corr_c"][i] = float(np.real(np.einsum("ij,ji->", delta, delta)))
-        out["concurrence"][i] = wootters_concurrence(emb.matrix)
-        coher = 2.0 * obs["coherence_magnitude"]
-        out["re_phi"][i] = math.log(coher) if coher > 0.0 else -math.inf
+        stack[held] = mat
+        held += 1
+        if held == stack.shape[0] or i == times.size - 1:
+            done = slice(i + 1 - held, i + 1)
+            for key, column in _stack_columns(stack[:held], u[done], v[done]).items():
+                out[key][done] = column
+            held = 0
     return out

@@ -86,6 +86,15 @@ def test_criterion_8_figure_output_is_deterministic(results):
     _assert_all_pass(_rows(results, "c8"))
 
 
+def test_oracle_checks_name_their_fock_truncation(results):
+    details = {r.name: r.detail for r in results}
+    assert details["c1[k=0.2,f=1]"].startswith("N=26, ")
+    assert details["c1[k=0.2,f=0.5]"].startswith("N=15, ")
+    assert details["c1[k=0.2,f=2]"].startswith("N=52, ")
+    assert details["c2_oracle_stationarity"] == details["c2_oracle_mean_photons"] == "N=26"
+    assert details["c4_oracle_concurrence_at_roots"] == "N=26"
+
+
 def test_check_names_are_unique(results):
     names = [r.name for r in results]
     assert len(names) == len(set(names))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersive_jcm import analytic, cli
-from dispersive_jcm.model import AtomicAmplitudes, ModelParams
+from dispersive_jcm.model import AtomicAmplitudes, ModelParams, make_params
 
 P111 = ModelParams(1.0, 1.0, 1.0)
 P_SUB = ModelParams(1.0, 0.2, 0.2)
@@ -353,3 +353,22 @@ def test_field_entropy_vanishes_at_disentangle_roots():
         if c.kind == "disentangle":
             assert analytic.zeta_field(P_SUB, c.t_c) < 1e-14
             assert analytic.concurrence(P_SUB, c.t_c) < 1e-7
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k_over_omega=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    f_over_k=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+def test_any_finite_ratios_are_rejected_or_give_finite_closed_forms(k_over_omega, f_over_k):
+    try:
+        params = make_params(k_over_omega, f_over_k)
+    except ValueError:
+        return
+    t_max = 4.0 * math.pi
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        columns = analytic.observables(params, np.linspace(0.0, t_max, 2001))
+        instants = analytic.critical_instants(params, t_max)
+    for name, column in columns.items():
+        assert np.all(np.isfinite(column)), name
+    assert all(math.isfinite(c.t_c) for c in instants)

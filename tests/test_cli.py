@@ -122,7 +122,7 @@ def test_unaffordable_oracle_truncation_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: Fock truncation N = 1940")
+    assert len(err) == 1 and err[0].startswith("error: Fock truncation N = 1890")
     assert not out.exists()
     assert not out.with_name(out.name + ".tmp").exists()
 
@@ -275,3 +275,16 @@ def test_module_entry_point_runs(tmp_path):
     in_process = tmp_path / "in_process.csv"
     assert cli.main(args + ["--out", str(in_process)]) == 0
     assert out.read_bytes() == in_process.read_bytes()
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats adds about 0.6 s to every start of the command line
+    package_root = Path(dispersive_jcm.__file__).resolve().parents[1]
+    pythonpath = filter(None, [str(package_root), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    code = "import sys, dispersive_jcm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

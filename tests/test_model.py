@@ -96,3 +96,30 @@ def test_stationary_amplitude_frozen_value():
     assert stationary_amplitude(ModelParams(1.0, 0.5, 1.0 + 1.0j)) == 2.0 - 2.0j
     # purely imaginary for a real drive
     assert stationary_amplitude(ModelParams(1.0, 2.0, 1.0)) == -0.5j
+
+
+@pytest.mark.parametrize(
+    "omega, kappa, drive, named",
+    [
+        (1.0, 1e-200, 1e-200, "kappa/omega"),  # kappa^2 would underflow
+        (0.0, 1e-200, 0.0, "kappa^2"),
+        (1.0, 1e11, 1.0, "kappa/omega"),
+        (0.0, 1e200, 1.0, "kappa^2"),  # kappa^2 overflows
+        (0.0, 1e-120, 0.0, "kappa (kappa^2 + omega^2)"),
+        (0.0, 1e60, 1.0, "kappa^2 (kappa^2 + omega^2)^2"),
+        (1.0, 1.0, 1e200, "|F|^2"),
+        (1.0, 1e-8, 1e145, "|F|^2/kappa^2"),
+        (0.0, 1e-5, 1e144, "|F|^2/(kappa (kappa^2 + omega^2))"),
+        (1.0, 1e9, 1e145, "|F|^2 omega^2 (kappa + omega)^2"),
+    ],
+)
+def test_validate_rejects_scales_outside_the_closed_forms_range(omega, kappa, drive, named):
+    with pytest.raises(ValueError, match=r"range") as exc:
+        ModelParams(omega, kappa, drive)
+    assert str(exc.value).startswith(named + " = ")
+
+
+def test_make_params_rejects_the_ratios_that_broke_the_closed_forms():
+    for k_over_omega, f_over_k in ((1e-200, 1.0), (1.0, 1e200), (1e100, 1.0)):
+        with pytest.raises(ValueError, match="range"):
+            make_params(k_over_omega, f_over_k)

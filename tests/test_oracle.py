@@ -1,13 +1,17 @@
 """Brute-force Lindblad integration on a truncated Fock space."""
 
+import ast
 import gc
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import DOP853
+from scipy.special import pdtrc
 
-from dispersive_jcm import analytic, oracle
+from dispersive_jcm import acceptance, analytic, oracle
 from dispersive_jcm.model import AtomicAmplitudes, ModelParams, make_params
 
 P111 = ModelParams(1.0, 1.0, 1.0)
@@ -17,11 +21,24 @@ BALANCED = AtomicAmplitudes.symmetric()
 # ---------------------------------------------------------------- construction
 
 def test_fock_truncation_frozen_values():
-    assert oracle.fock_truncation(P111) == 40
-    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.2)) == 40
-    assert oracle.fock_truncation(ModelParams(1.0, 5.0, 5.0)) == 40
-    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.1)) == 29
-    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.4)) == 68
+    assert oracle.fock_truncation(P111) == 26
+    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.2)) == 26
+    assert oracle.fock_truncation(ModelParams(1.0, 5.0, 5.0)) == 26
+    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.1)) == 15
+    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.4)) == 52
+
+
+@pytest.mark.parametrize("abar", [0.0, 1e-7, 0.3, 1.0, 2.0, 2.7, 4.0, 7.5, 12.0, 20.0])
+def test_fock_truncation_is_the_smallest_meeting_the_poisson_bound(abar):
+    n = oracle.fock_truncation(ModelParams(1.0, 1.0, abar / 2.0))
+    mean = abar * abar
+
+    def tail(k):  # P(Poisson(mean) > k)
+        return 1.0 if k < 0 else float(pdtrc(k, mean))
+
+    assert tail(n - 1) <= 1e-12 < tail(n - 2)
+    if abar == 0.0:
+        assert n == 1
 
 
 def test_coherent_state_vector_is_normalized_eigenvector():
@@ -41,7 +58,7 @@ def test_coherent_state_vector_at_zero_is_vacuum():
 
 def test_initial_state_is_a_valid_pure_product():
     rho0 = oracle.initial_state(P111, BALANCED)
-    assert rho0.n_fock == 41  # truncation index 40 -> 41 levels
+    assert rho0.n_fock == 27  # truncation index 26 -> 27 levels
     assert rho0.time == 0.0
     rho0.validate()
     obs = oracle.observables(rho0)
@@ -84,7 +101,7 @@ def test_evolve_matches_dense_closed_form():
     rho0 = oracle.initial_state(P111, BALANCED)
     final = oracle.evolve(P111, rho0, 0.6)
     assert final.time == 0.6
-    ref = oracle.analytic_state_dense(P111, BALANCED, 0.6, final.n_fock)
+    ref = acceptance.analytic_state_dense(P111, BALANCED, 0.6, final.n_fock)
     assert oracle.trace_distance(final.data, ref) < 1e-8
 
 
@@ -92,7 +109,7 @@ def test_evolve_excited_atom_keeps_field_coherent():
     amps = AtomicAmplitudes(1.0, 0.0)
     rho0 = oracle.initial_state(P111, amps)
     final = oracle.evolve(P111, rho0, 1.5)
-    ref = oracle.analytic_state_dense(P111, amps, 1.5, final.n_fock)
+    ref = acceptance.analytic_state_dense(P111, amps, 1.5, final.n_fock)
     assert oracle.trace_distance(final.data, ref) < 1e-8
     # reduced field is the conditioned coherent state
     fld = oracle.partial_trace_atom(final.data)
@@ -116,7 +133,7 @@ def test_trajectory_emits_requested_times_in_one_pass():
     out = list(oracle.evolve_trajectory(P111, rho0, times))
     assert [t for t, _ in out] == times
     assert np.array_equal(out[0][1], rho0.data)
-    ref = oracle.analytic_state_dense(P111, BALANCED, 0.4, rho0.n_fock)
+    ref = acceptance.analytic_state_dense(P111, BALANCED, 0.4, rho0.n_fock)
     assert oracle.trace_distance(out[-1][1], ref) < 1e-8
 
 
@@ -130,7 +147,7 @@ def test_trajectory_validates_time_ordering():
 
 def test_stationary_dense_state_is_a_generator_fixed_point():
     n = 40
-    stat = oracle.stationary_state_dense(P111, BALANCED, n)
+    stat = acceptance.stationary_state_dense(P111, BALANCED, n)
     gen = oracle.build_generator(P111, n)
     assert float(np.max(np.abs(gen(oracle._pack(stat, n))))) < 1e-10
 
@@ -207,26 +224,26 @@ def test_finished_solvers_are_freed_without_a_collection():
         gc.enable()
 
 
-UNAFFORDABLE = make_params(0.2, 20.0)  # fock_truncation would be N = 1940
+UNAFFORDABLE = make_params(0.2, 20.0)  # fock_truncation would be N = 1890
 
 
 def test_unaffordable_truncation_is_refused_before_allocating():
     with pytest.raises(oracle.OracleError, match="budget"):
         oracle.fock_truncation(UNAFFORDABLE)
     with pytest.raises(oracle.OracleError, match="budget"):
-        oracle.initial_state(P111, BALANCED, n_fock=1941)
+        oracle.initial_state(P111, BALANCED, n_fock=1891)
     with pytest.raises(oracle.OracleError, match="budget"):
-        oracle.fock_truncation(ModelParams(1.0, 1e-300, 1.0))  # N overflows to inf
+        oracle.fock_truncation(ModelParams(1.0, 1e-5, 1e100))  # N is about 4e210
     tracemalloc.start()
     try:
-        with pytest.raises(oracle.OracleError, match="N = 1940"):
-            oracle.series(UNAFFORDABLE, np.linspace(0.0, 4.0 * np.pi, 200))
+        with pytest.raises(oracle.OracleError, match="N = 1890"):
+            oracle.series(UNAFFORDABLE, np.linspace(0.0, 4.0 * np.pi, 200), 0.0, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # the limit stays far above the largest standard truncation, N = 68
-    assert oracle.initial_state(ModelParams(1.0, 0.2, 0.4), BALANCED).n_fock == 69
+    # the limit stays far above the largest standard truncation, N = 52
+    assert oracle.initial_state(ModelParams(1.0, 0.2, 0.4), BALANCED).n_fock == 53
     oracle._check_affordable(501)
 
 
@@ -298,3 +315,94 @@ def test_observables_track_the_evolved_state():
     assert np.isclose(obs["nbar"], analytic.mean_photon_number(P111, t), atol=1e-8)
     re_phi = float(np.real(analytic._phi(P111, t)))
     assert np.isclose(2.0 * obs["coherence_magnitude"], np.exp(re_phi), atol=1e-8)
+
+
+def test_stacked_embedding_and_concurrence_equal_single_calls():
+    params = make_params(0.2, 1.0)
+    times = np.array([0.0, 0.4, 1.3, 2.9])
+    rho0 = oracle.initial_state(params, BALANCED)
+    mats = np.stack([mat for _, mat in oracle.evolve_trajectory(params, rho0, times)])
+    _, _, u, v = analytic._amplitudes(params, times)
+    stacked = oracle.embed_two_qubit(mats, u, v)
+    conc = oracle.wootters_concurrence(stacked.matrix)
+    assert stacked.matrix.shape == (4, 4, 4) and conc.shape == (4,)
+    assert stacked.degenerate.tolist() == [True, False, False, False]  # t = 0 only
+    for i in range(times.size):
+        single = oracle.embed_two_qubit(mats[i], complex(u[i]), complex(v[i]))
+        assert type(single.leakage) is float and type(single.degenerate) is bool
+        assert single.degenerate == stacked.degenerate[i]
+        assert np.max(np.abs(stacked.matrix[i] - single.matrix)) <= 1e-15
+        assert abs(stacked.leakage[i] - single.leakage) <= 1e-15
+        c = oracle.wootters_concurrence(single.matrix)
+        assert type(c) is float
+        assert abs(conc[i] - c) <= 1e-12
+
+
+def test_stacked_concurrence_rejects_bad_input():
+    with pytest.raises(ValueError):
+        oracle.wootters_concurrence(np.stack([np.eye(3, dtype=complex) / 3] * 2))
+    good = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError):
+        oracle.wootters_concurrence(np.stack([good, bad]))
+
+
+def _dense_columns(mat, beta_e_prime, beta_g_prime):
+    """One point's series columns from the full joint matrix, extracted one by one."""
+    n = mat.shape[0] // 2
+    blocks = mat.reshape(2, n, 2, n)
+    atom = np.einsum("ikjk->ij", blocks)
+    fld = np.einsum("kikj->ij", blocks)
+
+    def purity(m):
+        return float(np.real(np.einsum("ij,ji->", m, m)))
+
+    f1 = oracle.coherent_state_vector(beta_e_prime, n)
+    f2 = oracle.coherent_state_vector(beta_g_prime, n)
+    overlap = np.vdot(f1, f2)
+    if abs(overlap) > 1.0 - 1e-14:
+        f2 = oracle.displacement_operator(beta_e_prime, n)[:, 1]
+    else:
+        f2 = (f2 - overlap * f1) / np.linalg.norm(f2 - overlap * f1)
+    proj = np.kron(np.eye(2), np.stack([f1, f2], axis=1))
+    rho4 = proj.conj().T @ mat @ proj
+    rho4 = rho4 / np.trace(rho4).real
+    sy = np.array([[0, -1j], [1j, 0]])
+    flip = np.kron(sy, sy)
+    evals = np.linalg.eigvals(rho4 @ flip @ rho4.conj() @ flip)
+    x = np.sqrt(np.sort(np.abs(evals.real))[::-1])
+    coher = 2.0 * float(np.sum(np.linalg.svd(mat[:n, n:], compute_uv=False)))
+    return {
+        "zeta_global": 1.0 - purity(mat),
+        "zeta_atom": 1.0 - purity(atom),
+        "zeta_field": 1.0 - purity(fld),
+        "corr_c": purity(mat - np.kron(atom, fld)),
+        "concurrence": max(0.0, x[0] - x[1] - x[2] - x[3]),
+        "re_phi": math.log(coher),
+    }
+
+
+@pytest.mark.parametrize("k_over_omega", [1.0, 5.0])
+def test_series_matches_per_point_dense_extraction(k_over_omega):
+    params = make_params(k_over_omega, 1.0)
+    times = np.linspace(0.0, 4.0 * np.pi, 37)
+    _, _, u, v = analytic._amplitudes(params, times)
+    got = oracle.series(params, times, u, v)
+    rho0 = oracle.initial_state(params, BALANCED)
+    for i, (_, mat) in enumerate(oracle.evolve_trajectory(params, rho0, times)):
+        want = _dense_columns(mat, u[i], v[i])
+        for key in ("zeta_global", "zeta_atom", "zeta_field", "corr_c", "re_phi"):
+            assert abs(got[key][i] - want[key]) <= 1e-13, (key, i)
+        # Wootters takes square roots of eigenvalues at the 1e-16 level
+        assert abs(got["concurrence"][i] - want["concurrence"]) <= 1e-7, i
+
+
+def test_oracle_imports_nothing_from_analytic():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not any("analytic" in name.split(".") for name in imported)
