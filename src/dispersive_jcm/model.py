@@ -23,22 +23,24 @@ __all__ = [
     "DispersiveValidityWarning",
     "make_params",
     "stationary_amplitude",
-    "SCALE_LIMIT",
-    "DAMPING_RANGE",
 ]
 
-#: Range of the closed forms' scales.  ModelParams rejects a denominator
-#: outside [1/SCALE_LIMIT, SCALE_LIMIT] or a drive scale above SCALE_LIMIT.
-#: The factor of about 1e8 to the float limits is headroom for the bounded
-#: and O(t) factors these scales are multiplied by on the paper's horizons.
-SCALE_LIMIT = 1e300
+# Range of the closed forms' scales.  ModelParams rejects a denominator
+# outside [1/_SCALE_LIMIT, _SCALE_LIMIT] or a drive scale above _SCALE_LIMIT.
+# The factor of about 1e8 to the float limits is headroom for the bounded
+# and O(t) factors these scales are multiplied by on the paper's horizons.
+_SCALE_LIMIT = 1e300
 
-#: Range of kappa/omega the closed forms resolve; omega = 0, the decoupled
-#: case, is exact and exempt.  Re phi is what is left after terms as large
-#: as |F|^2/kappa^2 cancel.  Far outside this range (below about 1e-11 or
-#: above about 1e15 on the paper's horizon) that remainder is rounding noise,
-#: which can turn Re phi positive and overflow exp(2 Re phi).
-DAMPING_RANGE = (1e-10, 1e10)
+# Range of kappa/omega the closed forms resolve when the drive exceeds the
+# damping.  Re phi is what is left after terms as large as |F|^2/kappa^2
+# cancel, so its rounding error is about 1e-15 |F|^2/kappa^2 at any
+# kappa/omega.  Inside this range the largest |Re phi| on the paper's
+# horizon is at least about 5e6 times that error; far outside it (below
+# about 1e-11 or above about 1e15) the error dominates and, for a strong
+# drive, can turn Re phi positive and overflow exp(2 Re phi).  With |F| <= kappa the error
+# stays at the 1e-15 level of the observables' own rounding, and omega = 0,
+# the decoupled case, is exact: both are exempt.
+_DAMPING_RANGE = (1e-10, 1e10)
 
 
 class DispersiveValidityWarning(UserWarning):
@@ -51,11 +53,11 @@ class ModelParams:
 
     Construction raises ``ValueError`` when ``kappa <= 0``, ``omega < 0``,
     any field is non-finite, or a scale of the closed forms leaves the
-    range they resolve: kappa/omega outside [1e-10, 1e10] (unless
-    omega = 0; :data:`DAMPING_RANGE`); kappa^2, kappa (kappa^2 + omega^2)
-    or kappa^2 (kappa^2 + omega^2)^2 outside [1e-300, 1e300]; or |F|^2,
+    range they resolve: kappa/omega outside [1e-10, 1e10] while
+    |F| > kappa and omega > 0; kappa^2, kappa (kappa^2 + omega^2) or
+    kappa^2 (kappa^2 + omega^2)^2 outside [1e-300, 1e300]; or |F|^2,
     |F|^2/kappa^2, |F|^2/(kappa (kappa^2 + omega^2)) or
-    |F|^2 omega^2 (kappa + omega)^2 above 1e300 (:data:`SCALE_LIMIT`).
+    |F|^2 omega^2 (kappa + omega)^2 above 1e300.
     When the optional ``validity`` pair is present, it emits a :class:`DispersiveValidityWarning` if the scale
     separation ``detuning/coupling >= 10 * |drive|/kappa`` fails.  The
     factor 10 is a documented convention (the regime condition is a strict
@@ -157,11 +159,11 @@ def _check_scales(omega: float, kappa: float, drive_abs: float) -> None:
     Products only: float multiplication and division saturate to 0 or inf
     where ``**`` would raise.
     """
-    low, high = DAMPING_RANGE
-    if omega > 0.0 and not low <= kappa / omega <= high:
+    low, high = _DAMPING_RANGE
+    if omega > 0.0 and drive_abs > kappa and not low <= kappa / omega <= high:
         raise ValueError(
             f"kappa/omega = {kappa / omega:.3g} is outside the closed forms' range "
-            f"[{low:g}, {high:g}]"
+            f"[{low:g}, {high:g}] for a drive above kappa"
         )
     k2 = kappa * kappa
     w2 = k2 + omega * omega
@@ -169,12 +171,12 @@ def _check_scales(omega: float, kappa: float, drive_abs: float) -> None:
     for name, value in (
         ("kappa^2", k2),
         ("kappa (kappa^2 + omega^2)", kappa * w2),
-        ("kappa^2 (kappa^2 + omega^2)^2", k2 * w2 * w2),
+        ("kappa^2 (kappa^2 + omega^2)^2", k2 * (w2 * w2)),  # as the closed forms group it
     ):
-        if not 1.0 / SCALE_LIMIT <= value <= SCALE_LIMIT:
+        if not 1.0 / _SCALE_LIMIT <= value <= _SCALE_LIMIT:
             raise ValueError(
                 f"{name} = {value:.3g} is outside the closed forms' range "
-                f"[{1.0 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}]"
+                f"[{1.0 / _SCALE_LIMIT:g}, {_SCALE_LIMIT:g}]"
             )
     reach = kappa + omega
     for name, value in (
@@ -183,9 +185,9 @@ def _check_scales(omega: float, kappa: float, drive_abs: float) -> None:
         ("|F|^2/(kappa (kappa^2 + omega^2))", f2 / (kappa * w2)),
         ("|F|^2 omega^2 (kappa + omega)^2", f2 * omega * omega * reach * reach),
     ):
-        if not value <= SCALE_LIMIT:
+        if not value <= _SCALE_LIMIT:
             raise ValueError(
-                f"{name} = {value:.3g} is above the closed forms' range (at most {SCALE_LIMIT:g})"
+                f"{name} = {value:.3g} is above the closed forms' range (at most {_SCALE_LIMIT:g})"
             )
 
 

@@ -80,16 +80,11 @@ MEMORY_BUDGET_BYTES = 1 << 30
 _PACKED_COPIES = 48
 _DENSE_COPIES = 8
 
-# Points interpolated or extracted together, and the memory such a stack may
-# take: below N of about 180 the stacks add up to 4 MiB to the plan above
-# (6.6 MiB against 4.5 MiB planned at N = 40); above it a stack is one point.
+# Points :func:`series` extracts together, and the memory its stack may take:
+# below N of about 180 the stack adds up to 4 MiB to the plan above; above it
+# a stack is one point.
 _STACK_POINTS = 16
 _STACK_BYTES = 1 << 22
-
-
-def _stack_points(bytes_per_point: int) -> int:
-    """Points per stack: _STACK_POINTS, fewer where they would exceed _STACK_BYTES."""
-    return max(1, min(_STACK_POINTS, _STACK_BYTES // bytes_per_point))
 
 
 def _check_affordable(n_levels: float) -> None:
@@ -315,10 +310,9 @@ def evolve_trajectory(
     ge block of ``rho0`` is not read: a density matrix has ge = eg^dag);
     matrices are interpolated from the integrator's dense output and
     unpacked, so the cost is one integration regardless of how many points
-    are requested.  Each accepted step evaluates its interpolant once for
-    all requested times inside it (in slices of at most 16 points).  Raises
-    :class:`OracleError` when the edge Fock population exceeds 1e-8 at any
-    accepted step or the integrator fails (step-size underflow).
+    are requested.  Raises :class:`OracleError` when the edge Fock
+    population exceeds 1e-8 at any accepted step or the integrator fails
+    (step-size underflow).
     """
     config = config or IntegratorConfig()
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -351,7 +345,6 @@ def evolve_trajectory(
         max_step=config.max_step,
     )
     edges = (n * n - 1, 2 * n * n - 1)  # ee[N, N] and gg[N, N] in the packed vector
-    points = _stack_points(2 * 16 * 3 * n * n)  # interpolated states and their transpose
     try:
         while solver.status == "running":
             message = solver.step()
@@ -364,16 +357,11 @@ def evolve_trajectory(
                     f"edge Fock population {edge:.3e} at t={solver.t:.6g}: truncation blow-up"
                 )
             if ptr < times.size and solver.t >= times[ptr]:
-                # the step's requested times in one interpolant call per slice;
-                # slices bound the memory a dense grid could take
                 dense = solver.dense_output()
-                stop = int(np.searchsorted(times, solver.t, side="right"))
-                for first in range(ptr, stop, points):
-                    batch = times[first:min(stop, first + points)]
-                    states = np.ascontiguousarray(dense(batch).T).view(complex)
-                    for t, y in zip(batch, states):
-                        yield float(t), _unpack(y, n)
-                ptr = stop
+                while ptr < times.size and times[ptr] <= solver.t:
+                    out = np.ascontiguousarray(dense(times[ptr])).view(complex)
+                    yield float(times[ptr]), _unpack(out, n)
+                    ptr += 1
     finally:
         # the solver refers to itself through its fun closures: break that
         # cycle so it and its stage buffers are freed now, not at a full GC
@@ -576,12 +564,18 @@ def series(
     the grid.
     """
     times = np.asarray(times, dtype=float)
-    u = np.broadcast_to(np.asarray(beta_e_prime, dtype=complex), times.shape)
-    v = np.broadcast_to(np.asarray(beta_g_prime, dtype=complex), times.shape)
+    u = np.asarray(beta_e_prime, dtype=complex)
+    v = np.asarray(beta_g_prime, dtype=complex)
+    if u.shape != times.shape or v.shape != times.shape:
+        raise ValueError(
+            f"expected one amplitude of each kind per time {times.shape}, "
+            f"got {u.shape} and {v.shape}"
+        )
     rho0 = initial_state(params, AtomicAmplitudes.symmetric())
     out = {key: np.empty(times.size) for key in _SERIES_COLUMNS}
     d = 2 * rho0.n_fock
-    stack = np.empty((min(_stack_points(16 * d * d), times.size), d, d), complex)
+    points = max(1, min(_STACK_POINTS, _STACK_BYTES // (16 * d * d), times.size))
+    stack = np.empty((points, d, d), complex)
     held = 0
     for i, (_, mat) in enumerate(evolve_trajectory(params, rho0, times, config)):
         stack[held] = mat

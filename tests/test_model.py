@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dispersive_jcm import analytic
 from dispersive_jcm.model import (
     AtomicAmplitudes,
     DispersiveValidityWarning,
@@ -101,12 +102,15 @@ def test_stationary_amplitude_frozen_value():
 @pytest.mark.parametrize(
     "omega, kappa, drive, named",
     [
-        (1.0, 1e-200, 1e-200, "kappa/omega"),  # kappa^2 would underflow
+        (1.0, 1e-200, 1e-199, "kappa/omega"),  # checked before the kappa^2 underflow
+        (1.0, 1e-200, 1e-200, "kappa^2"),
         (0.0, 1e-200, 0.0, "kappa^2"),
-        (1.0, 1e11, 1.0, "kappa/omega"),
+        (1.0, 1e11, 2e11, "kappa/omega"),
+        (1e3, 1e-9, 2e-9, "kappa/omega"),
         (0.0, 1e200, 1.0, "kappa^2"),  # kappa^2 overflows
         (0.0, 1e-120, 0.0, "kappa (kappa^2 + omega^2)"),
         (0.0, 1e60, 1.0, "kappa^2 (kappa^2 + omega^2)^2"),
+        (1e90, 1e-100, 0.0, "kappa^2 (kappa^2 + omega^2)^2"),  # (kappa^2 + omega^2)^2 overflows
         (1.0, 1.0, 1e200, "|F|^2"),
         (1.0, 1e-8, 1e145, "|F|^2/kappa^2"),
         (0.0, 1e-5, 1e144, "|F|^2/(kappa (kappa^2 + omega^2))"),
@@ -117,6 +121,20 @@ def test_validate_rejects_scales_outside_the_closed_forms_range(omega, kappa, dr
     with pytest.raises(ValueError, match=r"range") as exc:
         ModelParams(omega, kappa, drive)
     assert str(exc.value).startswith(named + " = ")
+
+
+@pytest.mark.parametrize(
+    "k_over_omega, f_over_k", [(1e-11, 0.0), (1e-11, 1.0), (1e11, 1.0), (1e40, 0.5), (1e20, 0.0)]
+)
+def test_drive_at_most_kappa_is_accepted_outside_the_damping_range(k_over_omega, f_over_k):
+    # the rounding residue of Re phi is about 1e-15 |F|^2/kappa^2 at any
+    # kappa/omega, so a drive no stronger than the damping stays resolved
+    params = make_params(k_over_omega, f_over_k)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        columns = analytic.observables(params, np.linspace(0.0, 4.0 * math.pi, 2001))
+    for name, column in columns.items():
+        assert np.all(np.isfinite(column)), name
+    assert np.all(columns["re_phi"] <= 1e-14)
 
 
 def test_make_params_rejects_the_ratios_that_broke_the_closed_forms():

@@ -234,10 +234,11 @@ def test_unaffordable_truncation_is_refused_before_allocating():
         oracle.initial_state(P111, BALANCED, n_fock=1891)
     with pytest.raises(oracle.OracleError, match="budget"):
         oracle.fock_truncation(ModelParams(1.0, 1e-5, 1e100))  # N is about 4e210
+    amplitudes = np.zeros(200, complex)
     tracemalloc.start()
     try:
         with pytest.raises(oracle.OracleError, match="N = 1890"):
-            oracle.series(UNAFFORDABLE, np.linspace(0.0, 4.0 * np.pi, 200), 0.0, 0.0)
+            oracle.series(UNAFFORDABLE, np.linspace(0.0, 4.0 * np.pi, 200), amplitudes, amplitudes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -395,6 +396,14 @@ def test_series_matches_per_point_dense_extraction(k_over_omega):
             assert abs(got[key][i] - want[key]) <= 1e-13, (key, i)
         # Wootters takes square roots of eigenvalues at the 1e-16 level
         assert abs(got["concurrence"][i] - want["concurrence"]) <= 1e-7, i
+
+
+def test_series_takes_one_amplitude_of_each_kind_per_time():
+    times = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="per time"):
+        oracle.series(P111, times, 0.0, 0.0)
+    with pytest.raises(ValueError, match="per time"):
+        oracle.series(P111, times, np.zeros(5, complex), np.zeros(4, complex))
 
 
 def test_oracle_imports_nothing_from_analytic():
