@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 
+#: most steps of the sign-bracketing grid of :func:`critical_instants`
+MAX_BRACKET_STEPS = 2 ** 22
+
+
 # ---------------------------------------------------------------- record types
 
 @dataclass(frozen=True)
@@ -458,35 +462,37 @@ def critical_instants(params: ModelParams, t_max: float, grid_step: float | None
 
     Without drive the field entropy is identically zero, so there are no
     critical instants and the list is empty.
+
+    Raises ``ValueError`` before allocating anything when the bracketing
+    grid would need more than ``MAX_BRACKET_STEPS`` (2**22) steps, that is
+    w t_max / pi > 65536 at the default resolution.
     """
     w = params.omega
     if not (w > 0.0):
         raise ValueError("critical instants require omega > 0")
     if not (t_max > 0.0):
         raise ValueError("t_max must be positive")
+    step = grid_step if grid_step is not None else math.pi / (64.0 * w)
+    if not (t_max / step <= MAX_BRACKET_STEPS):
+        raise ValueError(
+            f"critical instants up to t_max = {t_max:.6g} need {t_max / step:.6g} "
+            f"bracketing steps, above the limit of {MAX_BRACKET_STEPS} "
+            "(omega*t_max/pi <= 65536 at the default resolution)"
+        )
     found: list[CriticalInstant] = []
     if params.drive == 0:
         return found
 
     # --- zeros of the disentanglement bracket
     f = lambda t: _disentangle_bracket(params, t)
-    step = grid_step if grid_step is not None else math.pi / (64.0 * w)
     n_nodes = int(math.ceil(t_max / step)) + 1
     nodes = np.minimum(np.arange(n_nodes + 1) * step, t_max)
     vals = f(nodes)
-    for i in range(n_nodes):
-        a, b = nodes[i], nodes[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if a == b:
-            continue
-        if fb == 0.0:
-            root = b
-        elif fa == 0.0:
-            continue  # t = 0 is the trivial zero; interior nodes are caught as fb
-        elif fa * fb < 0.0:
-            root = bisect(f, a, b, xtol=1e-15, rtol=1e-12)
-        else:
-            continue
+    a, b, fa, fb = nodes[:-1], nodes[1:], vals[:-1], vals[1:]
+    # an interval holds a root at its right node or a sign change inside;
+    # t = 0 is the trivial zero and never counts as a left node
+    for i in np.flatnonzero((a != b) & ((fb == 0.0) | (fa * fb < 0.0))):
+        root = b[i] if fb[i] == 0.0 else bisect(f, a[i], b[i], xtol=1e-15, rtol=1e-12)
         if root > 0.0:
             found.append(CriticalInstant(float(root), "disentangle", "local_min", -1))
 

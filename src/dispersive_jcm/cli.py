@@ -20,7 +20,10 @@ runs with the same arguments are byte-identical and interrupted runs
 leave no partial files behind.  A CSV holds only finite numbers (apart
 from critical's ``t_trans``, nan when there is no transition); parameters
 whose closed forms leave the floating-point range exit 2 with one error
-line instead.
+line instead.  A trace or figure table is checked for finiteness as a
+whole before its temp file is opened, then streamed to it in blocks of
+rows, each block formatted by one ``%`` operation; the writer holds a few
+blocks of text, not the file.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -202,12 +206,22 @@ def get_args(argv=None) -> argparse.Namespace:
 
 # ---------------------------------------------------------------- CSV plumbing
 
-def _atomic_write(path: Path, lines: list[str]) -> None:
-    """Write lines with LF endings via a temp file renamed into place."""
+#: rows per formatted block of a streamed table; a block of 13 columns is
+#: about 1.3 MB of text
+_BLOCK_ROWS = 4096
+
+
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write text chunks with LF endings via a temp file renamed into place.
+
+    The chunks are consumed one at a time; if one raises, the temp file is
+    removed and whatever ``path`` held before stays as it was.
+    """
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if tmp.exists():
@@ -219,9 +233,23 @@ def _fmt(value: float) -> str:
     return "%.16e" % (value + 0.0)  # + 0.0 folds -0.0 into 0.0
 
 
-def _trace_lines(
+def _csv_blocks(header: list[str], table: np.ndarray) -> Iterator[str]:
+    """The header line, then one string per block of up to _BLOCK_ROWS rows.
+
+    Each block is one ``%`` operation over its values, which formats every
+    value as :func:`_fmt` does.
+    """
+    yield ",".join(header) + "\n"
+    row_fmt = ",".join(["%.16e"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        yield (row_fmt * len(block)) % tuple((block + 0.0).ravel().tolist())
+
+
+def _trace_table(
     params: ModelParams, times: np.ndarray, with_oracle: bool, config: IntegratorConfig
-) -> list[str]:
+) -> tuple[list[str], np.ndarray]:
+    """Header and finite value table of a trace; raises before anything is written."""
     columns = analytic.observables(params, times)
     header = list(TRACE_COLUMNS)
     data = [times / math.pi] + [columns[name] for name in TRACE_COLUMNS[1:]]
@@ -235,15 +263,13 @@ def _trace_lines(
     if not finite.all():
         bad = ", ".join(name for name, ok in zip(header, finite) if not ok)
         raise ValueError(f"non-finite values in {bad}: parameters outside the numerical range")
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in table]
-    return lines
+    return header, table
 
 
 def _run_trace(args, params: ModelParams, config: IntegratorConfig) -> int:
     times = np.linspace(0.0, args.t_max_pi * math.pi, args.points)
-    lines = _trace_lines(params, times, args.oracle, config)
-    _atomic_write(Path(args.out), lines)
+    header, table = _trace_table(params, times, args.oracle, config)
+    _atomic_write(Path(args.out), _csv_blocks(header, table))
     return 0
 
 
@@ -254,8 +280,8 @@ def _run_figures(args, config: IntegratorConfig) -> int:
 
     def build(entry):
         name, k_ow, f_ok = entry
-        params = make_params(k_ow, f_ok)
-        _atomic_write(out_dir / name, _trace_lines(params, times, args.oracle, config))
+        header, table = _trace_table(make_params(k_ow, f_ok), times, args.oracle, config)
+        _atomic_write(out_dir / name, _csv_blocks(header, table))
 
     with ThreadPoolExecutor(max_workers=len(FIGURE_SETS)) as pool:
         for _ in pool.map(build, FIGURE_SETS):
@@ -290,7 +316,7 @@ def _run_critical(args, params: ModelParams) -> int:
                 )
             )
         )
-    _atomic_write(Path(args.out), lines)
+    _atomic_write(Path(args.out), ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -299,7 +325,7 @@ def _run_verify(args, config: IntegratorConfig) -> int:
     report = acceptance.format_report(results)
     print(report)
     if args.out:
-        _atomic_write(Path(args.out), report.splitlines())
+        _atomic_write(Path(args.out), ["\n".join(report.splitlines()) + "\n"])
     return 0 if all(r.passed for r in results) else 1
 
 

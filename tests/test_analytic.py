@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import bisect
 
 from dispersive_jcm import analytic, cli
 from dispersive_jcm.model import AtomicAmplitudes, ModelParams, make_params
@@ -345,6 +346,74 @@ def test_critical_instants_rejects_bad_arguments():
         analytic.critical_instants(ModelParams(0.0, 1.0, 1.0), 10.0)
     with pytest.raises(ValueError):
         analytic.critical_instants(P111, 0.0)
+
+
+def _disentangle_roots_by_loop(params, t_max, step):
+    """Node-by-node bracketing: the reference for the scan in critical_instants."""
+    f = lambda t: analytic._disentangle_bracket(params, t)
+    n_nodes = int(math.ceil(t_max / step)) + 1
+    nodes = np.minimum(np.arange(n_nodes + 1) * step, t_max)
+    vals = f(nodes)
+    roots = []
+    for i in range(n_nodes):
+        a, b = nodes[i], nodes[i + 1]
+        fa, fb = vals[i], vals[i + 1]
+        if a == b:
+            continue
+        if fb == 0.0:
+            root = b
+        elif fa == 0.0:
+            continue
+        elif fa * fb < 0.0:
+            root = bisect(f, a, b, xtol=1e-15, rtol=1e-12)
+        else:
+            continue
+        if root > 0.0:
+            roots.append(float(root))
+    return roots
+
+
+@pytest.mark.parametrize(
+    "params, t_max, step",
+    [
+        (P_SUB, 40 * math.pi, math.pi / 64),
+        (ModelParams(1.0, 0.01, 0.03j), 300 * math.pi, math.pi / 64),
+        (ModelParams(2.0, 0.05, -0.1), 7.3, 0.3),  # a step coarser than a quarter period
+        (ModelParams(1.0, 0.2, 0.2), 2.5, 0.25),  # exact zeros at nodes, see the stub below
+    ],
+)
+def test_critical_instants_bracket_as_the_node_loop(monkeypatch, params, t_max, step):
+    if step == 0.25:
+        # zeros exactly at the node 1.0 (a sign change) and at t_max = 2.5 (a
+        # touch, and the clamped last node repeats it), one inside (1.5, 1.75)
+        stub = lambda p, t: (t - 1.0) * (t - 1.6) * (t - 2.5) ** 2
+        monkeypatch.setattr(analytic, "_disentangle_bracket", stub)
+    roots = [
+        c.t_c for c in analytic.critical_instants(params, t_max, grid_step=step)
+        if c.kind == "disentangle"
+    ]
+    expected = _disentangle_roots_by_loop(params, t_max, step)
+    assert roots == expected and len(expected) >= 2
+
+
+def test_critical_instants_refuse_a_bracketing_grid_above_the_limit():
+    limit = analytic.MAX_BRACKET_STEPS
+    assert limit == 2 ** 22
+    # omega*t_max/pi = 65536 is the largest horizon at the default resolution
+    t_edge = 65536 * math.pi
+    crit = analytic.critical_instants(P111, t_edge)
+    assert sum(c.kind == "extremum" for c in crit) == 65536
+    for params, t_max in (
+        (P111, math.nextafter(t_edge, math.inf)),
+        (P111, 1e9 * math.pi),  # would have been 6.4e10 nodes
+        (P111, math.inf),
+        (ModelParams(1e20, 1e12, 1.0), 1.0),  # was numpy's bare "Maximum allowed size exceeded"
+        (ModelParams(1.0, 0.2, 0.0), 1e9),  # refused without drive too
+    ):
+        with pytest.raises(ValueError, match=f"above the limit of {limit} "):
+            analytic.critical_instants(params, t_max)
+    with pytest.raises(ValueError, match="above the limit"):
+        analytic.critical_instants(P111, 1.0, grid_step=1e-7)
 
 
 def test_field_entropy_vanishes_at_disentangle_roots():

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dispersive_jcm
-from dispersive_jcm import cli
+from dispersive_jcm import analytic, cli
+from dispersive_jcm.model import make_params
 
 
 def _read_csv(path):
@@ -141,6 +143,88 @@ def test_figures_mode_writes_five_deterministic_files(tmp_path):
         assert len(rows) == 7
 
 
+def _reference_csv(header, table):
+    """The CSV bytes of one "%.16e" call per value, rows joined with LF."""
+    lines = [",".join(header)]
+    lines += [",".join("%.16e" % (v + 0.0) for v in row) for row in table]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _reference_trace(k_over_omega, f_over_k, t_max_pi, points):
+    times = np.linspace(0.0, t_max_pi * math.pi, points)
+    columns = analytic.observables(make_params(k_over_omega, f_over_k), times)
+    table = np.column_stack([times / math.pi] + [columns[n] for n in cli.TRACE_COLUMNS[1:]])
+    return _reference_csv(cli.TRACE_COLUMNS, table)
+
+
+@pytest.mark.parametrize("ncols", [13, 19])
+@pytest.mark.parametrize("rows", [2, 4095, 4096, 4097, 8193])
+def test_block_writer_matches_per_value_formatting(tmp_path, rows, ncols):
+    rng = np.random.default_rng(rows * ncols)
+    table = rng.standard_normal((rows, ncols)) * 10.0 ** rng.integers(-300, 301, (rows, ncols))
+    special = [-0.0, 5e-324, 2.5e-310, 1e300, -1e300, 1e-300, -1e-300, 0.0, 1.0 / 3.0, -math.pi]
+    for r in {0, 4095, 4096, rows - 1} & set(range(rows)):
+        table[r] = np.resize(np.roll(special, r), ncols)
+    header = [f"c{j}" for j in range(ncols)]
+    chunks = list(cli._csv_blocks(header, table))
+    assert [c.count("\n") for c in chunks[1:]] == [
+        min(cli._BLOCK_ROWS, rows - start) for start in range(0, rows, cli._BLOCK_ROWS)
+    ]
+    out = tmp_path / "table.csv"
+    cli._atomic_write(out, iter(chunks))
+    data = out.read_bytes()
+    assert data == _reference_csv(header, table)
+    assert b"-0.0000000000000000e+00" not in data
+    assert b"e-300" in data and b"e+300" in data and b"e-324" in data
+
+
+def test_trace_and_figures_match_per_value_formatting(tmp_path):
+    out = tmp_path / "trace.csv"
+    args = ["--k-over-omega", "0.2", "--f-over-k", "2", "--t-max-pi", "3", "--points", "8193"]
+    assert cli.main(["--mode", "trace", *args, "--out", str(out)]) == 0
+    assert out.read_bytes() == _reference_trace(0.2, 2.0, 3.0, 8193)
+    assert cli.main(["--mode", "figures", "--points", "4097", "--out", str(tmp_path)]) == 0
+    for name, k_over_omega, f_over_k in cli.FIGURE_SETS:
+        assert (tmp_path / name).read_bytes() == _reference_trace(k_over_omega, f_over_k, 4.0, 4097)
+
+
+@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+def test_a_failing_chunk_leaves_no_partial_file(tmp_path, failure):
+    table = np.ones((3 * cli._BLOCK_ROWS, len(cli.TRACE_COLUMNS)))
+
+    def chunks():
+        blocks = cli._csv_blocks(list(cli.TRACE_COLUMNS), table)
+        yield next(blocks)  # the header
+        yield next(blocks)  # the first block of rows
+        raise failure("interrupted")
+
+    out = tmp_path / "trace.csv"
+    tmp = out.with_name(out.name + ".tmp")
+    with pytest.raises(failure):
+        cli._atomic_write(out, chunks())
+    assert not out.exists() and not tmp.exists()
+    out.write_bytes(b"earlier run\n")
+    with pytest.raises(failure):
+        cli._atomic_write(out, chunks())
+    assert out.read_bytes() == b"earlier run\n" and not tmp.exists()
+
+
+def test_block_writer_holds_a_few_blocks_not_the_file(tmp_path):
+    rows, ncols = 100001, len(cli.TRACE_COLUMNS)
+    table = np.random.default_rng(0).standard_normal((rows, ncols))
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli._atomic_write(out, cli._csv_blocks(list(cli.TRACE_COLUMNS), table))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = 8 * 2**20
+    assert out.stat().st_size > 3 * bound  # holding the whole text would exceed the bound
+    assert peak < bound, f"writer peak {peak / 2**20:.1f} MiB above the table"
+
+
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -203,6 +287,17 @@ def test_out_of_range_ratios_exit_2_with_one_line(tmp_path, capsys, mode, k_over
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+    assert not out.with_name(out.name + ".tmp").exists()
+
+
+def test_critical_horizon_above_the_bracketing_limit_exits_2(tmp_path, capsys):
+    out = tmp_path / "critical.csv"
+    rc = cli.main(["--mode", "critical", "--t-max-pi", "1e12", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: critical instants")
+    assert f"above the limit of {analytic.MAX_BRACKET_STEPS} " in err[0]
     assert not out.exists()
     assert not out.with_name(out.name + ".tmp").exists()
 
