@@ -22,8 +22,12 @@ from critical's ``t_trans``, nan when there is no transition); parameters
 whose closed forms leave the floating-point range exit 2 with one error
 line instead.  A trace or figure table is checked for finiteness as a
 whole before its temp file is opened, then streamed to it in blocks of
-rows, each block formatted by one ``%`` operation; the writer holds a few
-blocks of text, not the file.
+rows; the writer holds a few blocks, not the file.  Each block is
+formatted by a numpy kernel that writes the bytes of ``"%.16e" % v``
+exactly: Dekker's error-free product (Numer. Math. 18 (1971) 224) gives
+|v| 10**s as an exact double pair, from which the 17 digits are rounded
+half to even as CPython's dtoa rounds them.  Values outside its range,
+zero among them, are formatted one by one with ``%``.
 """
 
 from __future__ import annotations
@@ -206,9 +210,9 @@ def get_args(argv=None) -> argparse.Namespace:
 
 # ---------------------------------------------------------------- CSV plumbing
 
-#: rows per formatted block of a streamed table; a block of 13 columns is
-#: about 1.3 MB of text
-_BLOCK_ROWS = 4096
+#: rows per formatted block of a streamed table; the figures pool formats
+#: five tables at once, so each block's temporaries stay well under 1 MB
+_BLOCK_ROWS = 512
 
 
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
@@ -233,17 +237,110 @@ def _fmt(value: float) -> str:
     return "%.16e" % (value + 0.0)  # + 0.0 folds -0.0 into 0.0
 
 
-def _csv_blocks(header: list[str], table: np.ndarray) -> Iterator[str]:
-    """The header line, then one string per block of up to _BLOCK_ROWS rows.
+def _veltkamp(x):
+    """Halves with hi + lo == x exactly, each of at most 26 significant bits."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
 
-    Each block is one ``%`` operation over its values, which formats every
-    value as :func:`_fmt` does.
+
+#: 10**s for s = 0..22, each an exact double, and its Veltkamp halves
+_POW10 = np.array([float(10**s) for s in range(23)])
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+# A formatted value fills one 28-byte slot, seven uint32 words of ASCII:
+# [pad, sign, lead digit, "."], four words of four digits,
+# ["e", exponent sign, two exponent digits], [separator, pad x 3].
+# Pad bytes are 0 and are deleted when the slots are joined.
+_HEAD = np.frombuffer(
+    b"".join(b"\0" + sign + b"%d." % d for sign in (b"\0", b"-") for d in range(10)), np.uint32
+)
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+_DIGITS4 = _DIGITS4.reshape(10000, 4).view(np.uint32).ravel()  # "0000" to "9999"
+_EXPONENT = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-6, 17)), np.uint32)
+
+
+def _format_block(block: np.ndarray) -> str:
+    """The CSV rows of a 2-D block, each value written as :func:`_fmt` writes it.
+
+    For 1e-6 <= |v| < 1e17 the 17 significant digits are those of
+    n = round(|v| 10**s) with s = 16 - floor(log10 |v|), rounded to nearest
+    with ties to even, as CPython's correctly rounded dtoa does.  s lies in
+    [0, 22], so 10**s is an exact double and Dekker's TwoProduct (Numer.
+    Math. 18 (1971) 224) gives |v| 10**s = hi + lo exactly.  When that
+    product lies in [1e16, 1e17), hi is an integer and even (every double
+    above 2**53 is), so n = hi + rint(lo), with numpy's ties-to-even rint,
+    breaks a tie towards even.  No such product lies within 8 of 1e17, so
+    hi < 1e17 and n never carries into the next decade.  Zero, the rest
+    of the range, non-finite values and the neighbours of a power of ten
+    whose decade log10 misses go through _fmt one by one.
+    """
+    rows, cols = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    inside = (a >= 1e-6) & (a < 1e17)
+    a[~inside] = 1.0
+    s = np.log10(a)
+    np.floor(s, out=s)
+    np.subtract(16.0, s, out=s)
+    np.clip(s, 0.0, 22.0, out=s)
+    s = s.astype(np.intp)
+
+    hi = np.take(_POW10, s)
+    hi *= a
+    a_hi, a_lo = _veltkamp(a)
+    p_hi = np.take(_POW10_HI, s)
+    p_lo = np.take(_POW10_LO, s)
+    # lo = |v| 10**s - hi exactly, summed in Dekker's order
+    lo = a_hi * p_hi - hi
+    lo += a_hi * p_lo
+    lo += a_lo * p_hi
+    lo += a_lo * p_lo
+    del a, a_hi, a_lo, p_hi, p_lo
+    exact = inside & (hi >= 1e16) & (hi < 1e17) & ((hi > 1e16) | (lo >= 0.0))
+    n = hi.astype(np.int64)
+    n += np.rint(lo).astype(np.int64)
+    n[~exact] = 10**16
+    exponent = 22 - s  # index into _EXPONENT, which starts at e-06
+    del hi, lo, s
+
+    upper = n // 10**8
+    n -= upper * 10**8
+    low8 = n.astype(np.int32)
+    upper = upper.astype(np.int32)
+    lead = upper // 10**8
+    high8 = upper - lead * 10**8
+    lead[x < 0.0] += 10  # the _HEAD words with a minus sign
+    del n, upper
+
+    slots = np.empty((x.size, 7), np.uint32)
+    slots[:, 0] = np.take(_HEAD, lead)
+    for word, group in ((1, high8), (3, low8)):
+        quad = group // 10**4
+        slots[:, word] = np.take(_DIGITS4, quad)
+        group -= quad * 10**4
+        slots[:, word + 1] = np.take(_DIGITS4, group)
+    slots[:, 5] = np.take(_EXPONENT, exponent)
+    slots[:, 6] = ord(",")
+    slots.reshape(rows, cols * 7)[:, -1] = ord("\n")
+    fallback = np.flatnonzero(~exact)
+    text = b"".join(
+        (_fmt(v) + ("\n" if (i + 1) % cols == 0 else ",")).encode().ljust(28, b"\0")
+        for i, v in zip(fallback.tolist(), x[fallback].tolist())
+    )
+    slots[fallback] = np.frombuffer(text, np.uint32).reshape(-1, 7)
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _csv_blocks(header: list[str], table: np.ndarray) -> Iterator[str]:
+    """The header line, then the text of each block of up to _BLOCK_ROWS rows.
+
+    :func:`_format_block` writes every value as :func:`_fmt` does, byte for
+    byte, holding one block's arrays and text at a time.
     """
     yield ",".join(header) + "\n"
-    row_fmt = ",".join(["%.16e"] * table.shape[1]) + "\n"
     for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
-        yield (row_fmt * len(block)) % tuple((block + 0.0).ravel().tolist())
+        yield _format_block(table[start:start + _BLOCK_ROWS])
 
 
 def _trace_table(
@@ -294,14 +391,15 @@ def _run_critical(args, params: ModelParams) -> int:
     instants = analytic.critical_instants(params, t_max)
     w = params.omega
     t_trans = analytic.transition_time(params)
+    t_c = np.array([c.t_c for c in instants], dtype=float)
+    columns = analytic.observables(params, t_c)
+    zeta, conc = columns["zeta_field"], columns["concurrence"]
+    if instants and (not np.isfinite([t_c, zeta, conc]).all() or math.isinf(t_trans)):
+        raise ValueError(
+            "non-finite critical-instant values: parameters outside the numerical range"
+        )
     lines = [",".join(CRITICAL_COLUMNS)]
-    for c in instants:
-        zeta = float(analytic.zeta_field(params, c.t_c))
-        conc = float(analytic.concurrence(params, c.t_c))
-        if not all(map(math.isfinite, (c.t_c, zeta, conc))) or math.isinf(t_trans):
-            raise ValueError(
-                "non-finite critical-instant values: parameters outside the numerical range"
-            )
+    for c, zeta_c, conc_c in zip(instants, zeta.tolist(), conc.tolist()):
         lines.append(
             ",".join(
                 (
@@ -310,8 +408,8 @@ def _run_critical(args, params: ModelParams) -> int:
                     c.kind,
                     c.classification,
                     str(c.n_index),
-                    _fmt(zeta),
-                    _fmt(conc),
+                    _fmt(zeta_c),
+                    _fmt(conc_c),
                     _fmt(t_trans),
                 )
             )

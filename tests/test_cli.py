@@ -5,10 +5,13 @@ import csv
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +95,23 @@ def test_critical_mode_subcritical(tmp_path):
             assert r[header.index("classification")] == "local_min"
 
 
+def test_critical_columns_come_from_one_array_pass(tmp_path):
+    out = tmp_path / "critical.csv"
+    args = ["--k-over-omega", "0.2", "--f-over-k", "1", "--t-max-pi", "40"]
+    assert cli.main(["--mode", "critical", *args, "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    params = make_params(0.2, 1.0)
+    instants = analytic.critical_instants(params, 40.0 * math.pi)
+    columns = analytic.observables(params, np.array([c.t_c for c in instants]))
+    t_trans = "%.16e" % analytic.transition_time(params)
+    assert len(rows) == len(instants) == 42
+    for row, c, zeta, conc in zip(rows, instants, columns["zeta_field"], columns["concurrence"]):
+        assert row == [
+            "%.16e" % c.t_c, "%.16e" % (c.t_c / math.pi), c.kind, c.classification,
+            str(c.n_index), "%.16e" % (zeta + 0.0), "%.16e" % (conc + 0.0), t_trans,
+        ]
+
+
 def test_critical_mode_supercritical_has_no_roots_and_nan_transition(tmp_path):
     out = tmp_path / "critical5.csv"
     rc = cli.main(
@@ -155,6 +175,95 @@ def _reference_trace(k_over_omega, f_over_k, t_max_pi, points):
     columns = analytic.observables(make_params(k_over_omega, f_over_k), times)
     table = np.column_stack([times / math.pi] + [columns[n] for n in cli.TRACE_COLUMNS[1:]])
     return _reference_csv(cli.TRACE_COLUMNS, table)
+
+
+def _assert_kernel_writes_percent(values):
+    """The block kernel writes each value as "%.16e" % (v + 0.0), in a column and in a row."""
+    values = np.asarray(values, dtype=float)
+    for block in (values.reshape(-1, 1), values.reshape(1, -1)):
+        expected = "".join(",".join("%.16e" % (v + 0.0) for v in row) + "\n" for row in block)
+        assert cli._format_block(block) == expected
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _tie(decade, k):
+    """An odd multiple of 2**-(18 - decade) in [10**(decade-1), 10**decade).
+
+    Its decimal expansion has 18 significant digits, the last one 5, so
+    rounding it to 17 digits is an exact half-way case.
+    """
+    m = 18 - decade
+    low = math.ceil(Fraction(10) ** (decade - 1) * 2**m)
+    high = math.floor(Fraction(10) ** decade * 2**m)
+    return ((low + k % (high - low)) | 1) / 2**m
+
+
+_finite_bit_patterns = st.integers(0, 2**64 - 1).map(_from_bits).filter(math.isfinite)
+# mantissa * 2**e for binary exponents 2**-25 to 2**60, both signs
+_window_values = st.builds(
+    lambda mantissa, e, sign: sign * math.ldexp(mantissa, e - 52),
+    st.integers(2**52, 2**53 - 1), st.integers(-25, 60), st.sampled_from([1.0, -1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_finite_bit_patterns, _window_values), min_size=1, max_size=40))
+def test_block_kernel_matches_percent_formatting(values):
+    _assert_kernel_writes_percent(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(_tie, st.integers(-5, 15), st.integers(0, 2**60)), min_size=1, max_size=40),
+       st.sampled_from([1.0, -1.0]))
+def test_block_kernel_rounds_half_way_ties_to_even(values, sign):
+    for v in values:
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    _assert_kernel_writes_percent([sign * v for v in values])
+
+
+def test_block_kernel_at_powers_of_ten_and_special_values():
+    powers = [10.0**k for k in range(-8, 19)]
+    neighbours = [math.nextafter(p, d) for p in powers for d in (0.0, math.inf)]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308,
+               1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan]
+    _assert_kernel_writes_percent(powers + neighbours + [-v for v in powers + neighbours] + special)
+
+
+def test_window_products_stay_below_the_next_decade():
+    # each scale 10**s of the kernel is an exact double, and the largest
+    # double v with v 10**s < 1e17 leaves more than 8 below 1e17: the
+    # product rounds to at most 1e17 - 16 and its digits never carry into
+    # the next decade
+    for s, scale in enumerate(cli._POW10):
+        assert Fraction(scale) == 10**s
+        v = float(Fraction(10**17, 10**s))
+        while Fraction(v) * 10**s >= 10**17:
+            v = math.nextafter(v, 0.0)
+        assert 10**17 - Fraction(v) * 10**s > 8
+
+
+def test_block_kernel_formats_window_values_without_the_fallback(monkeypatch):
+    rng = np.random.default_rng(7)
+    table = rng.uniform(1.5, 9.5, (64, 13)) * 10.0 ** rng.integers(-6, 17, (64, 13))
+    table *= rng.choice([-1.0, 1.0], table.shape)
+    outside = [(0, 0, 0.0), (5, 3, 1e-300), (9, 12, -2e-7), (40, 7, 1e17), (63, 0, -0.0)]
+    for r, c, v in outside:
+        table[r, c] = v
+    percent, seen = cli._fmt, []
+
+    def outside_window_only(value):
+        assert not 1e-6 <= abs(value) < 1e17, f"{value!r} went to the fallback"
+        seen.append(value)
+        return percent(value)
+
+    monkeypatch.setattr(cli, "_fmt", outside_window_only)
+    text = cli._format_block(table)
+    assert seen == [v for _, _, v in outside]
+    assert text == _reference_csv([], table).decode()[1:]
 
 
 @pytest.mark.parametrize("ncols", [13, 19])
