@@ -25,6 +25,10 @@ acceptance
     The eight-criterion acceptance suite tying everything together.
 cli
     Deterministic CSV output and the verify gate (``dispersive-jcm``).
+
+Importing the package loads numpy and the top-level ``scipy`` package
+only; the modules call scipy by qualified name, so each scipy submodule
+loads the first time a call needs it.  The closed forms need none.
 """
 
 from . import acceptance, analytic, lie, model, oracle

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
+import scipy  # called by qualified name: each submodule loads on first use
 
 from .model import AtomicAmplitudes, ModelParams
 
@@ -31,7 +31,6 @@ __all__ = [
     "coherent_pair",
     "distance_sq_closed_form",
     "phase_parts",
-    "assemble_phi_from_parts",
     "re_phi_longtime_rate",
     "matrix_elements",
     "observables",
@@ -46,7 +45,6 @@ __all__ = [
     "critical_instants",
     "stationary_state",
     "nbar_infinity",
-    "driven_mode_state",
 ]
 
 
@@ -185,9 +183,9 @@ def _zpq(params: ModelParams, t):
 def _phi(params: ModelParams, t):
     """Complex dephasing exponent, grouped for stability at any kappa*t.
 
-    Equal to the direct assembly of the z/p/q/theta/gamma pieces (see
-    assemble_phi_from_parts) but with every exponential decaying, so it
-    stays accurate arbitrarily far into the stationary regime.
+    Equal to the term-by-term sum of the z/p/q/theta/gamma pieces of
+    :func:`phase_parts` but with every exponential decaying, so it stays
+    accurate arbitrarily far into the stationary regime.
     Array-capable in t.
     """
     w, k, F = params.omega, params.kappa, complex(params.drive)
@@ -272,8 +270,10 @@ def phase_parts(params: ModelParams, t: float) -> PhaseParts:
     """All pieces of the dephasing exponent at time t.
 
     ``phi`` uses the stable regrouped assembly; the z/p/q/theta/gamma
-    fields are the direct closed forms and agree with the regrouping
-    through assemble_phi_from_parts for moderate kappa*t.
+    fields are the direct closed forms.  Their term-by-term sum, -iwt + z
+    + |F|^2(p^2 - q^2 + 2pq + |p+q|^2) + i theta + gamma plus the residual
+    drive block, equals ``phi`` only for kappa*t up to roughly 15: the p/q
+    hyperbolics grow like exp(kappa*t) and cancel.
     """
     z, p, q = _zpq(params, t)
     theta, gamma = _theta_gamma(params, t)
@@ -284,35 +284,6 @@ def phase_parts(params: ModelParams, t: float) -> PhaseParts:
         theta=float(theta),
         gamma=float(gamma),
         phi=complex(_phi(params, t)),
-    )
-
-
-def assemble_phi_from_parts(params: ModelParams, t: float, parts: PhaseParts) -> complex:
-    """Reassemble phi directly from the five stored parts.
-
-    This is the term-by-term grouping: -iwt, z, the quadratic drive block
-    in p and q, i*theta + gamma, and the residual drive block.  It is
-    algebraically identical to PhaseParts.phi but numerically useful only
-    for kappa*t up to roughly 15 (the p/q hyperbolics grow like
-    exp(kappa*t) and cancel); kept for internal-consistency checks.
-    """
-    w, k, F = params.omega, params.kappa, complex(params.drive)
-    F2 = abs(F) ** 2
-    c = k + 1j * w
-    z, p, q = parts.z, parts.p, parts.q
-    pq = p + q
-    resid = (F2 / k) * (
-        2j * np.real(pq * np.exp(-k * t) * np.cos(w * t))
-        - 2j * np.imag(pq * np.exp(-k * t) * np.sin(w * t))
-        - 4 * np.exp(-c * t) * (np.imag(q) + 1j * np.real(p))
-    )
-    return complex(
-        -1j * w * t
-        + z
-        + F2 * (p ** 2 - q ** 2 + 2 * p * q + abs(pq) ** 2)
-        + 1j * parts.theta
-        + parts.gamma
-        + resid
     )
 
 
@@ -492,7 +463,9 @@ def critical_instants(params: ModelParams, t_max: float, grid_step: float | None
     # an interval holds a root at its right node or a sign change inside;
     # t = 0 is the trivial zero and never counts as a left node
     for i in np.flatnonzero((a != b) & ((fb == 0.0) | (fa * fb < 0.0))):
-        root = b[i] if fb[i] == 0.0 else bisect(f, a[i], b[i], xtol=1e-15, rtol=1e-12)
+        root = b[i] if fb[i] == 0.0 else scipy.optimize.bisect(
+            f, a[i], b[i], xtol=1e-15, rtol=1e-12
+        )
         if root > 0.0:
             found.append(CriticalInstant(float(root), "disentangle", "local_min", -1))
 
@@ -531,14 +504,3 @@ def stationary_state(params: ModelParams, amps: AtomicAmplitudes) -> dict:
 def nbar_infinity(params: ModelParams) -> float:
     """Stationary mean photon number |F|^2 / (k^2 + w^2)."""
     return abs(params.drive) ** 2 / (params.kappa ** 2 + params.omega ** 2)
-
-
-def driven_mode_state(params: ModelParams, t, alpha0: complex):
-    """Coherent amplitude of the bare driven mode (atom absent).
-
-    alpha(t) = alpha0 exp(-kt) - i (F/k)(1 - exp(-kt)); the fixed point is
-    the stationary amplitude -iF/k.
-    """
-    k, F = params.kappa, complex(params.drive)
-    decay = np.exp(-k * t)
-    return alpha0 * decay - 1j * (F / k) * (-np.expm1(-k * np.asarray(t, dtype=float)))

@@ -20,9 +20,10 @@ runs with the same arguments are byte-identical and interrupted runs
 leave no partial files behind.  A CSV holds only finite numbers (apart
 from critical's ``t_trans``, nan when there is no transition); parameters
 whose closed forms leave the floating-point range exit 2 with one error
-line instead.  A trace or figure table is checked for finiteness as a
-whole before its temp file is opened, then streamed to it in blocks of
-rows; the writer holds a few blocks, not the file.  Each block is
+line instead, as does an output path that cannot be written.  A trace or
+figure table is checked for finiteness as a whole before its temp file is
+opened, then streamed to it in blocks of rows; the writer holds a few
+blocks, not the file.  Each block is
 formatted by a numpy kernel that writes the bytes of ``"%.16e" % v``
 exactly: Dekker's error-free product (Numer. Math. 18 (1971) 224) gives
 |v| 10**s as an exact double pair, from which the 17 digits are rounded
@@ -449,6 +450,10 @@ def main(argv=None) -> int:
                 f"error: parameters outside the numerical range ({type(exc).__name__}: {exc})",
                 file=sys.stderr,
             )
+        except OSError as exc:
+            # a verify run without --out writes only c8's temporary figures
+            target = exc.filename if args.out is None else args.out
+            print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
+import scipy
 
 from .model import ModelParams, TimeGrid, stationary_amplitude
 from . import analytic, oracle
@@ -60,17 +58,17 @@ class SuperOpRep:
     """
 
     dim: int
-    a_left: sparse.csr_matrix
-    a_left_dag: sparse.csr_matrix
-    a_right: sparse.csr_matrix
-    a_right_dag: sparse.csr_matrix
-    number_left: sparse.csr_matrix
-    number_right: sparse.csr_matrix
-    jump: sparse.csr_matrix
-    create_sum: sparse.csr_matrix
-    create_diff: sparse.csr_matrix
-    lower_sum: sparse.csr_matrix
-    lower_diff: sparse.csr_matrix
+    a_left: scipy.sparse.csr_matrix
+    a_left_dag: scipy.sparse.csr_matrix
+    a_right: scipy.sparse.csr_matrix
+    a_right_dag: scipy.sparse.csr_matrix
+    number_left: scipy.sparse.csr_matrix
+    number_right: scipy.sparse.csr_matrix
+    jump: scipy.sparse.csr_matrix
+    create_sum: scipy.sparse.csr_matrix
+    create_diff: scipy.sparse.csr_matrix
+    lower_sum: scipy.sparse.csr_matrix
+    lower_diff: scipy.sparse.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -84,14 +82,14 @@ class OdeResidualReport:
 
 def superop_rep(dim: int) -> SuperOpRep:
     """Build the vectorized multiplication maps at Fock truncation *dim*."""
-    a = sparse.csr_matrix(oracle.lowering_operator(dim))
+    a = scipy.sparse.csr_matrix(oracle.lowering_operator(dim))
     ad = a.conj().T
-    eye = sparse.identity(dim, dtype=complex, format="csr")
+    eye = scipy.sparse.identity(dim, dtype=complex, format="csr")
     # column-stacking: vec(A X B) = kron(B^T, A) vec(X)
-    a_left = sparse.kron(eye, a, format="csr")
-    a_left_dag = sparse.kron(eye, ad, format="csr")
-    a_right = sparse.kron(a.T, eye, format="csr")
-    a_right_dag = sparse.kron(ad.T, eye, format="csr")
+    a_left = scipy.sparse.kron(eye, a, format="csr")
+    a_left_dag = scipy.sparse.kron(eye, ad, format="csr")
+    a_right = scipy.sparse.kron(a.T, eye, format="csr")
+    a_right_dag = scipy.sparse.kron(ad.T, eye, format="csr")
     return SuperOpRep(
         dim=dim,
         a_left=a_left,
@@ -141,7 +139,7 @@ def check_commutator_table(rep: SuperOpRep, margin: int) -> float:
     if rep.dim < margin + 4:
         raise ValueError("dim must be at least margin + 4")
     keep = interior_mask(rep.dim, margin)
-    eye = sparse.identity(rep.dim * rep.dim, dtype=complex, format="csr")
+    eye = scipy.sparse.identity(rep.dim * rep.dim, dtype=complex, format="csr")
     half = 0.5
     J, M, P = rep.jump, rep.number_left, rep.number_right
     Xp, Xm = rep.create_sum, rep.create_diff
@@ -262,7 +260,8 @@ def _block_flows(params: ModelParams, t: float, rho0: np.ndarray, left: str, rig
     gen_full = oracle.field_liouvillian(params, dim, left, right)
     gen_free = oracle.field_liouvillian(replace(params, drive=0.0), dim, left, right)
     driven, free = (
-        _unvec(expm_multiply(gen * t, _vec(rho0)), dim) for gen in (gen_full, gen_free)
+        _unvec(scipy.sparse.linalg.expm_multiply(gen * t, _vec(rho0)), dim)
+        for gen in (gen_full, gen_free)
     )
     if abs(driven[-1, -1]) > 1e-8:
         raise ValueError("truncation insufficient: edge population above 1e-8")
@@ -305,9 +304,9 @@ def check_offdiagonal_disentangling(params: ModelParams, t: float, rep: SuperOpR
     rhs = (
         scalar
         * oracle.displacement_operator(pair.beta_e, dim)
-        @ expm(2.0 * np.conj(F) * mix * a)
+        @ scipy.linalg.expm(2.0 * np.conj(F) * mix * a)
         @ inner
-        @ expm(-2.0 * F * mix * a.conj().T)
+        @ scipy.linalg.expm(-2.0 * F * mix * a.conj().T)
         @ oracle.displacement_operator(pair.beta_g, dim).conj().T
     )
     return _trace_norm(lhs - rhs)
@@ -322,7 +321,7 @@ def check_baker_hausdorff(params: ModelParams, x: float, rep: SuperOpRep, margin
     on interior columns, where the truncated algebra is exact.
     """
     gen = oracle.field_liouvillian(replace(params, drive=0.0), rep.dim, "e", "e")
-    flow = expm(gen.toarray() * x)
+    flow = scipy.linalg.expm(gen.toarray() * x)
     lhs = flow @ rep.create_diff
     rhs = np.exp(-(params.kappa + 1j * params.omega) * x) * rep.create_diff @ flow
     return float(np.max(np.abs((lhs - rhs)[:, interior_mask(rep.dim, margin)])))

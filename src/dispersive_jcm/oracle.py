@@ -30,10 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import DOP853
-from scipy.linalg import expm
-from scipy.special import pdtrc
+import scipy
 
 from .model import AtomicAmplitudes, ModelParams, stationary_amplitude
 
@@ -171,7 +168,7 @@ def fock_truncation(params: ModelParams) -> int:
     fails, holds = -1, math.ceil(mean + 28.0 + math.sqrt(56.0 * mean))
     while holds - fails > 1:
         mid = (fails + holds) // 2
-        if pdtrc(float(mid), mean) <= _TAIL_WEIGHT:
+        if scipy.special.pdtrc(float(mid), mean) <= _TAIL_WEIGHT:
             holds = mid
         else:
             fails = mid
@@ -188,7 +185,7 @@ def lowering_operator(n_levels: int) -> np.ndarray:
 def displacement_operator(alpha: complex, n_levels: int) -> np.ndarray:
     """D(alpha) = exp(alpha a_dag - conj(alpha) a) on the truncated space."""
     a = lowering_operator(n_levels)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    return scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
 def coherent_state_vector(alpha, n_levels: int) -> np.ndarray:
@@ -237,8 +234,8 @@ def field_liouvillian(params: ModelParams, n_fock: int, left: str, right: str):
     second Kronecker factor and right multiplication in the first.
     """
     w, k, F = params.omega, params.kappa, complex(params.drive)
-    eye = sparse.identity(n_fock, dtype=complex, format="csr")
-    a = sparse.csr_matrix(lowering_operator(n_fock))
+    eye = scipy.sparse.identity(n_fock, dtype=complex, format="csr")
+    a = scipy.sparse.csr_matrix(lowering_operator(n_fock))
     a_dag = a.conj().T
     num = a_dag @ a
     drive = F * a_dag + np.conj(F) * a
@@ -247,9 +244,11 @@ def field_liouvillian(params: ModelParams, n_fock: int, left: str, right: str):
         raise ValueError(f"field block levels must be 'e' or 'g', got {left!r}, {right!r}")
     h_left, h_right = hamiltonians[left], hamiltonians[right]
     damping = k * (
-        2.0 * sparse.kron(a.conj(), a) - sparse.kron(eye, num) - sparse.kron(num.T, eye)
+        2.0 * scipy.sparse.kron(a.conj(), a)
+        - scipy.sparse.kron(eye, num)
+        - scipy.sparse.kron(num.T, eye)
     )
-    return -1j * (sparse.kron(eye, h_left) - sparse.kron(h_right.T, eye)) + damping
+    return -1j * (scipy.sparse.kron(eye, h_left) - scipy.sparse.kron(h_right.T, eye)) + damping
 
 
 def build_generator(params: ModelParams, n_fock: int):
@@ -262,7 +261,7 @@ def build_generator(params: ModelParams, n_fock: int):
     [vec ee, vec gg, vec eg] (see :func:`_pack`).  Returns y -> L y, one
     sparse matvec per evaluation.
     """
-    liouvillian = sparse.block_diag(
+    liouvillian = scipy.sparse.block_diag(
         [field_liouvillian(params, n_fock, x, y) for x, y in ("ee", "gg", "eg")],
         format="csr",
     )
@@ -335,7 +334,7 @@ def evolve_trajectory(
         ptr += 1
     if ptr == times.size:
         return
-    solver = DOP853(
+    solver = scipy.integrate.DOP853(
         rhs,
         rho0.time,
         _pack(rho0.data, n).view(float),

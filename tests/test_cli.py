@@ -440,6 +440,64 @@ def test_any_finite_ratios_give_finite_csv_or_one_error_line(mode, k_over_omega,
                     assert math.isfinite(float(cell)), (name, cell)
 
 
+@pytest.mark.parametrize(
+    "mode, out",
+    [
+        ("trace", "missing/x.csv"),  # no parent directory
+        ("trace", "dir"),  # an existing directory
+        ("figures", "file"),  # an existing file
+        ("critical", "file/x.csv"),  # a file as parent directory
+        ("verify", "missing/r.txt"),  # the report after the checks ran
+    ],
+)
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, mode, out):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main(
+        ["--mode", mode, "--no-oracle", "--points", "5", "--out", str(tmp_path / out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {tmp_path / out}: ")
+    assert sorted(tmp_path.rglob("*")) == before  # neither the target nor a .tmp file
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_verify_without_out_names_the_unwritable_temp_dir(tmp_path, capsys, monkeypatch):
+    # c8 writes its figure runs under the temp directory
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert cli.main(["--mode", "verify", "--no-oracle"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {tmp_path / 'missing'}")
+
+
+def test_import_and_csv_modes_load_no_scipy_submodule(tmp_path):
+    # the closed forms need numpy alone; scipy's submodules load on first use
+    package_root = Path(dispersive_jcm.__file__).resolve().parents[1]
+    pythonpath = filter(None, [str(package_root), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    code = (
+        "import sys\n"
+        "import dispersive_jcm, dispersive_jcm.cli as cli\n"
+        "assert cli.main(['--mode', 'trace', '--points', '5', '--out', 't.csv']) == 0\n"
+        "assert cli.main(['--mode', 'figures', '--points', '5', '--out', 'figs']) == 0\n"
+        "heavy = {'scipy.sparse', 'scipy.integrate', 'scipy.linalg', 'scipy.optimize', 'scipy.special'}\n"
+        "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert len(list((tmp_path / "figs").iterdir())) == len(cli.FIGURE_SETS)
+
+
 def test_invalid_physics_parameters_exit_nonzero(tmp_path, capsys):
     rc = cli.main(
         ["--mode", "trace", "--k-over-omega", "-1.0", "--out", str(tmp_path / "x.csv")]
