@@ -14,9 +14,11 @@ tolerances and returns :class:`CheckResult` rows; :func:`run_all` chains
 all eight and :func:`format_report` renders one PASS/FAIL/SKIP line per
 row.  The expensive shared ingredient, the five integrated reference
 trajectories, is built once by :func:`reference_traces` and reused by
-criteria 1 and 5.  The dense expansions of the closed-form states that
-criteria 2 and 5 compare against live here, so the integrator in
-:mod:`.oracle` never reads a closed form.
+criteria 1 and 5.  :func:`dense_state` expands the closed-form blocks of
+:func:`.analytic.matrix_elements` and :func:`.analytic.stationary_state`
+into the dense matrices criteria 2 and 5 compare against; it lives here,
+so the integrator in :mod:`.oracle` never reads a closed form.  Every
+closed form is read through :mod:`.analytic`'s public functions.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ __all__ = [
     "PARAMETER_SETS",
     "COMPARED_OBSERVABLES",
     "reference_traces",
-    "analytic_state_dense",
-    "stationary_state_dense",
+    "dense_state",
     "criterion_1",
     "criterion_2",
     "criterion_3",
@@ -102,24 +103,28 @@ def reference_traces(
     for k_ow, f_ok in PARAMETER_SETS:
         params = make_params(k_ow, f_ok)
         times = np.linspace(0.0, t_max, points)
-        _, _, beta_e_prime, beta_g_prime = analytic._amplitudes(params, times)
+        pair = analytic.coherent_pair(params, times)
         traces.append(
             ReferenceTrace(
                 params=params,
                 times=times,
                 analytic_columns=analytic.observables(params, times),
-                oracle_columns=oracle.series(params, times, beta_e_prime, beta_g_prime, config),
+                oracle_columns=oracle.series(
+                    params, times, pair.beta_e_prime, pair.beta_g_prime, config
+                ),
                 fock_truncation=oracle.fock_truncation(params),
             )
         )
     return traces, time.perf_counter() - start
 
 
-def analytic_state_dense(
-    params: ModelParams, amps: AtomicAmplitudes, t: float, n_fock: int
-) -> np.ndarray:
-    """Dense expansion of the closed-form joint state at time t."""
-    elems = analytic.matrix_elements(params, amps, t)
+def dense_state(blocks: dict, n_fock: int) -> np.ndarray:
+    """Dense joint state on n_fock Fock levels from closed-form blocks.
+
+    ``blocks`` is the {'rho_ee', 'rho_gg', 'rho_eg'} dict of
+    :func:`.analytic.matrix_elements` or :func:`.analytic.stationary_state`;
+    the ge block is the adjoint of the eg block.
+    """
     n = n_fock
     rho = np.zeros((2 * n, 2 * n), complex)
 
@@ -128,25 +133,11 @@ def analytic_state_dense(
         bra = oracle.coherent_state_vector(elem.bra_amplitude, n)
         return elem.weight * np.outer(ket, bra.conj())
 
-    rho[:n, :n] = block(elems["rho_ee"])
-    rho[n:, n:] = block(elems["rho_gg"])
-    eg = block(elems["rho_eg"])
+    rho[:n, :n] = block(blocks["rho_ee"])
+    rho[n:, n:] = block(blocks["rho_gg"])
+    eg = block(blocks["rho_eg"])
     rho[:n, n:] = eg
     rho[n:, :n] = eg.conj().T
-    return rho
-
-
-def stationary_state_dense(
-    params: ModelParams, amps: AtomicAmplitudes, n_fock: int
-) -> np.ndarray:
-    """Dense expansion of the asymptotic classically correlated state."""
-    stat = analytic.stationary_state(params, amps)
-    n = n_fock
-    rho = np.zeros((2 * n, 2 * n), complex)
-    v_e = oracle.coherent_state_vector(stat["amp_e"], n)
-    v_g = oracle.coherent_state_vector(stat["amp_g"], n)
-    rho[:n, :n] = stat["weight_e"] * np.outer(v_e, v_e.conj())
-    rho[n:, n:] = stat["weight_g"] * np.outer(v_g, v_g.conj())
     return rho
 
 
@@ -202,7 +193,7 @@ def criterion_2(
         return rows
     amps = AtomicAmplitudes.symmetric()
     rho = oracle.evolve(params, oracle.initial_state(params, amps), t_star, config)
-    stat = stationary_state_dense(params, amps, rho.n_fock)
+    stat = dense_state(analytic.stationary_state(params, amps), rho.n_fock)
     dist = oracle.trace_distance(rho.data, stat)
     detail = f"N={rho.n_fock - 1}"
     rows.append(CheckResult("c2_oracle_stationarity", dist <= 1e-3, dist, 1e-3, detail=detail))
@@ -227,7 +218,7 @@ def criterion_3() -> list[CheckResult]:
     details: dict[str, list[str]] = {"cubic": [], "quad": [], "slope": [], "ident": []}
 
     def re_phi(params, t):
-        return float(np.real(analytic._phi(params, t)))
+        return float(analytic.observables(params, t)["re_phi"])
 
     for kappa, drive in sets:
         params = ModelParams(1.0, kappa, drive)
@@ -242,7 +233,7 @@ def criterion_3() -> list[CheckResult]:
 
         t0 = tau_a / 100.0
         ratio = lambda t: (
-            float(analytic._dist_sq(params, t)) - 2.0 * re_phi(params, t)
+            float(analytic.coherent_pair(params, t).dist_sq) - 2.0 * re_phi(params, t)
         ) * tau_a ** 2 / t ** 2
         r = 2.0 * ratio(t0 / 2.0) - ratio(t0)
         quad = max(quad, abs(r - 1.0))
@@ -356,7 +347,7 @@ def criterion_5(traces: list[ReferenceTrace]) -> list[CheckResult]:
         params = ModelParams(1.0, kappa, drive)
         n_levels = oracle.fock_truncation(params) + 1
         for t in ts:
-            dense = analytic_state_dense(params, amps, t, n_levels)
+            dense = dense_state(analytic.matrix_elements(params, amps, t), n_levels)
             pair = analytic.coherent_pair(params, t)
             emb = oracle.embed_two_qubit(dense, pair.beta_e_prime, pair.beta_g_prime)
             dev = abs(
@@ -406,13 +397,12 @@ def criterion_6() -> list[CheckResult]:
     )
 
     params = ModelParams(1.0, 1.0, 1.0)
-    rep = lie.superop_rep(40)
-    diag_dev = lie.check_diagonal_disentangling(params, 1.0, rep)
+    diag_dev = lie.check_diagonal_disentangling(params, 1.0, 40)
     rows.append(
         CheckResult("c6_disentangle_diagonal", diag_dev <= 1e-6, diag_dev, 1e-6,
                     detail="dim=40, t=1")
     )
-    off_dev = lie.check_offdiagonal_disentangling(params, 1.0, rep)
+    off_dev = lie.check_offdiagonal_disentangling(params, 1.0, 40)
     rows.append(
         CheckResult("c6_disentangle_offdiagonal", off_dev <= 1e-6, off_dev, 1e-6,
                     detail="dim=40, t=1")
@@ -425,8 +415,9 @@ def criterion_7() -> list[CheckResult]:
     ts = np.linspace(0.0, 12.0, 97)[1:]
 
     no_drive = ModelParams(1.0, 1.0, 0.0)
+    phi = analytic.phase_parts(no_drive, ts).phi
     dev_f = max(
-        float(np.max(np.abs(analytic._phi(no_drive, ts) + 1j * no_drive.omega * ts))),
+        float(np.max(np.abs(phi + 1j * no_drive.omega * ts))),
         float(np.max(np.abs(analytic.distance_sq_closed_form(no_drive, ts)))),
     )
     rows = [

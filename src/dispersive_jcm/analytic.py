@@ -8,9 +8,11 @@ entropies of the joint state and both subsystems, the total correlation,
 the concurrence, the characteristic decoherence times, and the critical
 instants where the field disentangles or its entropy turns over.
 
-All operations are pure functions of ``(params, t)``.  Functions returning
-plain numbers accept scalar or array ``t``; functions returning record
-types take scalar ``t``.
+All operations are pure functions of ``(params, t)`` and accept scalar or
+array ``t``, apart from :func:`matrix_elements`, which takes scalar ``t``.
+The records :func:`coherent_pair` and :func:`phase_parts` hold numpy
+scalars for scalar ``t`` and arrays for array ``t``; they are the public
+way into the amplitude and dephasing kernels below.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "zeta_field",
     "total_correlation",
     "concurrence",
-    "mean_photon_number",
     "characteristic_times",
     "transition_time",
     "critical_instants",
@@ -58,6 +59,7 @@ MAX_BRACKET_STEPS = 2 ** 22
 class PhaseParts:
     """The five building blocks of the dephasing exponent and the assembled phi.
 
+    Each field is a numpy scalar or an array shaped like ``t``.
     ``z``, ``p``, ``q`` are the disentangling functions of the coherence
     block's Lie-algebraic solution; ``theta`` and ``gamma`` are the real
     oscillatory/secular drive corrections.  ``phi`` is the full complex
@@ -75,8 +77,9 @@ class PhaseParts:
 
 @dataclass(frozen=True)
 class CoherentPair:
-    """Field amplitudes conditioned on the atomic level at one instant.
+    """Field amplitudes conditioned on the atomic level.
 
+    Each field is a numpy scalar or an array shaped like ``t``.
     ``beta_e``/``beta_g`` are the drive-frame displacements; the primed
     amplitudes include the moving-frame offset and are the physical
     coherent amplitudes multiplying each atomic projector.  ``dist_sq``
@@ -118,7 +121,7 @@ class MatrixElement:
     bra_amplitude: complex
 
 
-# ---------------------------------------------------------------- scalar kernels
+# ---------------------------------------------------------------- kernels
 
 def _cexpm1(zv):
     """exp(z) - 1 for complex z without cancellation for small |Re z|."""
@@ -159,31 +162,10 @@ def _theta_gamma(params: ModelParams, t):
     return theta, gamma
 
 
-def _zpq(params: ModelParams, t):
-    """Disentangling functions in their direct closed form.
-
-    The hyperbolic terms grow like exp(kappa*t), so this grouping loses
-    accuracy beyond kappa*t of roughly 15; _phi below regroups the same
-    expressions into uniformly decaying exponentials.
-    """
-    w, k = params.omega, params.kappa
-    c = k + 1j * w
-    W = np.cosh(c * t) - 1.0
-    S = np.sinh(c * t)
-    q = -(w / c ** 2) * W
-    p = 1j * (k / c ** 2) * W - 1j * S / c
-    z = -(2j * w * abs(params.drive) ** 2 / c ** 2) * (
-        t
-        + (4 * (np.exp(-c * t) - 1.0) - np.exp(-2 * c * t) + 1.0) / (2 * c)
-        + 1j * (w / c ** 2) * W ** 2
-    )
-    return z, p, q
-
-
 def _phi(params: ModelParams, t):
     """Complex dephasing exponent, grouped for stability at any kappa*t.
 
-    Equal to the term-by-term sum of the z/p/q/theta/gamma pieces of
+    Equal to the term-by-term sum of the z/p/q/theta/gamma fields of
     :func:`phase_parts` but with every exponential decaying, so it stays
     accurate arbitrarily far into the stationary regime.
     Array-capable in t.
@@ -235,16 +217,10 @@ def _phi(params: ModelParams, t):
 
 # ---------------------------------------------------------------- operations
 
-def coherent_pair(params: ModelParams, t: float) -> CoherentPair:
-    """Conditioned field amplitudes and their squared separation at time t."""
+def coherent_pair(params: ModelParams, t) -> CoherentPair:
+    """Conditioned field amplitudes and their squared separation at t."""
     be, bg, u, v = _amplitudes(params, t)
-    return CoherentPair(
-        beta_e=complex(be),
-        beta_g=complex(bg),
-        beta_e_prime=complex(u),
-        beta_g_prime=complex(v),
-        dist_sq=float(abs(u - v) ** 2),
-    )
+    return CoherentPair(be, bg, u, v, np.abs(u - v) ** 2)
 
 
 def distance_sq_closed_form(params: ModelParams, t):
@@ -266,8 +242,8 @@ def _disentangle_bracket(params: ModelParams, t):
     return k * (np.exp(-k * t) * np.cos(w * t) - 1.0) - w * np.exp(-k * t) * np.sin(w * t)
 
 
-def phase_parts(params: ModelParams, t: float) -> PhaseParts:
-    """All pieces of the dephasing exponent at time t.
+def phase_parts(params: ModelParams, t) -> PhaseParts:
+    """All pieces of the dephasing exponent at t.
 
     ``phi`` uses the stable regrouped assembly; the z/p/q/theta/gamma
     fields are the direct closed forms.  Their term-by-term sum, -iwt + z
@@ -275,16 +251,19 @@ def phase_parts(params: ModelParams, t: float) -> PhaseParts:
     drive block, equals ``phi`` only for kappa*t up to roughly 15: the p/q
     hyperbolics grow like exp(kappa*t) and cancel.
     """
-    z, p, q = _zpq(params, t)
-    theta, gamma = _theta_gamma(params, t)
-    return PhaseParts(
-        z=complex(z),
-        p=complex(p),
-        q=complex(q),
-        theta=float(theta),
-        gamma=float(gamma),
-        phi=complex(_phi(params, t)),
+    w, k = params.omega, params.kappa
+    c = k + 1j * w
+    W = np.cosh(c * t) - 1.0
+    S = np.sinh(c * t)
+    q = -(w / c ** 2) * W
+    p = 1j * (k / c ** 2) * W - 1j * S / c
+    z = -(2j * w * abs(params.drive) ** 2 / c ** 2) * (
+        t
+        + (4 * (np.exp(-c * t) - 1.0) - np.exp(-2 * c * t) + 1.0) / (2 * c)
+        + 1j * (w / c ** 2) * W ** 2
     )
+    theta, gamma = _theta_gamma(params, t)
+    return PhaseParts(z, p, q, theta, gamma, _phi(params, t))
 
 
 def re_phi_longtime_rate(params: ModelParams) -> float:
@@ -376,15 +355,6 @@ def concurrence(params: ModelParams, t):
     in the stationary regime.
     """
     return observables(params, t)["concurrence"]
-
-
-def mean_photon_number(params: ModelParams, t):
-    """Mean photon number of the reduced field, |beta_e_prime|^2.
-
-    The two conditioned amplitudes have equal moduli, so the weights drop
-    out for any atomic superposition.
-    """
-    return observables(params, t)["nbar_analytic"]
 
 
 def characteristic_times(params: ModelParams):
@@ -486,18 +456,18 @@ def critical_instants(params: ModelParams, t_max: float, grid_step: float | None
 
 
 def stationary_state(params: ModelParams, amps: AtomicAmplitudes) -> dict:
-    """Asymptotic classically correlated state as weights and amplitudes.
+    """Asymptotic classically correlated state, in the blocks of matrix_elements.
 
-    {'weight_e', 'amp_e', 'weight_g', 'amp_g'}: the atom populations stay
-    frozen while each conditioned field settles into its own coherent
-    state F/(ik -+ w).
+    The atom populations stay frozen while each conditioned field settles
+    into its own coherent state F/(ik -+ w).  The coherence block
+    ``rho_eg`` has weight 0: no quantum correlation survives.
     """
     w, k, F = params.omega, params.kappa, complex(params.drive)
+    amp_e, amp_g = F / (1j * k - w), F / (1j * k + w)
     return {
-        "weight_e": float(abs(amps.c_e) ** 2),
-        "amp_e": F / (1j * k - w),
-        "weight_g": float(abs(amps.c_g) ** 2),
-        "amp_g": F / (1j * k + w),
+        "rho_ee": MatrixElement(complex(abs(amps.c_e) ** 2), amp_e, amp_e),
+        "rho_gg": MatrixElement(complex(abs(amps.c_g) ** 2), amp_g, amp_g),
+        "rho_eg": MatrixElement(0j, amp_e, amp_g),
     }
 
 

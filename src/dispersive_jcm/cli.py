@@ -85,6 +85,8 @@ CRITICAL_COLUMNS = (
     "t_trans",
 )
 
+MODES = ("trace", "figures", "critical", "verify")
+
 #: (file name, kappa/omega, |drive|/kappa) for the figures mode.
 FIGURE_SETS = (
     ("fig1_k0.2.csv", 0.2, 1.0),
@@ -94,26 +96,34 @@ FIGURE_SETS = (
     ("fig2_f2.csv", 0.2, 2.0),
 )
 
-_CONFIG_KEYS = {
-    "mode": str,
-    "k_over_omega": float,
-    "f_over_k": float,
-    "t_max_pi": float,
-    "points": int,
-    "oracle": None,  # parsed by _parse_bool
-    "out": str,
-    "rel_tol": float,
-    "abs_tol": float,
-}
+
+def _mode(text: str) -> str:
+    if text not in MODES:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(MODES)})")
+    return text
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+#: config key -> the cast of its value, as strict as the matching flag's
+_CONFIG_KEYS = {
+    "mode": _mode,
+    "k_over_omega": float,
+    "f_over_k": float,
+    "t_max_pi": float,
+    "points": int,
+    "oracle": _parse_bool,
+    "out": str,
+    "rel_tol": float,
+    "abs_tol": float,
+}
 
 
 def _read_config(path: str) -> dict:
@@ -129,8 +139,10 @@ def _read_config(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_KEYS[key] or _parse_bool
-        overrides[key] = caster(value.strip())
+        try:
+            overrides[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return overrides
 
 
@@ -142,7 +154,7 @@ def get_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--mode",
-        choices=("trace", "figures", "critical", "verify"),
+        choices=MODES,
         default="trace",
         help="what to compute (default: trace)",
     )
@@ -352,8 +364,8 @@ def _trace_table(
     header = list(TRACE_COLUMNS)
     data = [times / math.pi] + [columns[name] for name in TRACE_COLUMNS[1:]]
     if with_oracle:
-        _, _, beta_e_prime, beta_g_prime = analytic._amplitudes(params, times)
-        oracle_columns = oracle.series(params, times, beta_e_prime, beta_g_prime, config)
+        pair = analytic.coherent_pair(params, times)
+        oracle_columns = oracle.series(params, times, pair.beta_e_prime, pair.beta_g_prime, config)
         header += list(ORACLE_COLUMNS)
         data += [oracle_columns[name[len("oracle_"):]] for name in ORACLE_COLUMNS]
     table = np.column_stack(data)

@@ -8,8 +8,10 @@ module verifies that machinery on truncated matrix representations:
 * the ODE systems satisfied by the disentangling functions, with the
   closed-form solutions substituted back in via central differences,
 * the two disentangled-exponential identities (population block and
-  coherence block) against brute-force matrix-exponential evolution,
-* the two-dimensional Baker-Hausdorff rule used to derive them.
+  coherence block) against brute-force matrix-exponential evolution.
+
+The closed forms come from :mod:`.analytic`'s public records
+:func:`.analytic.coherent_pair` and :func:`.analytic.phase_parts`.
 
 Operators on the truncated Fock space are vectorized column-wise
 (stacking columns), so a map X -> A X B becomes kron(B^T, A) acting on
@@ -41,7 +43,6 @@ __all__ = [
     "residual_offdiagonal",
     "check_diagonal_disentangling",
     "check_offdiagonal_disentangling",
-    "check_baker_hausdorff",
 ]
 
 
@@ -187,7 +188,7 @@ def residual_diagonal(params: ModelParams, grid: TimeGrid) -> OdeResidualReport:
     w, k, F = params.omega, params.kappa, complex(params.drive)
     ts = grid.points
     h = grid.spacing
-    be, _, _, _ = analytic._amplitudes(params, ts)
+    be = analytic.coherent_pair(params, ts).beta_e
     lam = ts.astype(float)
     lam_dot = _central_diff(lam, h)
     x_dot = _central_diff(be, h)
@@ -206,14 +207,16 @@ def residual_offdiagonal(params: ModelParams, grid: TimeGrid) -> OdeResidualRepo
 
     System: s' = 1; q' - s'(kq - iwp) = 0; p' + s'[q(2k+iw) + kp] = -i;
     z' + 4 q' p |F|^2 + 2 s' |F|^2 [iwp^2 - q^2(2k+iw) - 2kpq] = 0.  The
-    closed forms are s = t and the stored z/p/q parts.  All derivatives,
+    closed forms are s = t and the z/p/q fields of
+    :func:`.analytic.phase_parts`.  All derivatives,
     including the q' inside the z equation, use central differences.
     """
     w, k = params.omega, params.kappa
     F2 = abs(params.drive) ** 2
     ts = grid.points
     h = grid.spacing
-    z, p, q = analytic._zpq(params, ts)
+    parts = analytic.phase_parts(params, ts)
+    z, p, q = parts.z, parts.p, parts.q
     s_dot = _central_diff(ts.astype(float), h)
     q_dot = _central_diff(q, h)
     p_dot = _central_diff(p, h)
@@ -268,29 +271,29 @@ def _block_flows(params: ModelParams, t: float, rho0: np.ndarray, left: str, rig
     return driven, free
 
 
-def check_diagonal_disentangling(params: ModelParams, t: float, rep: SuperOpRep) -> float:
+def check_diagonal_disentangling(params: ModelParams, t: float, dim: int) -> float:
     """Trace-norm gap between the driven population flow and its factorized form.
 
     Left side: exp((L_ee + drive) t) applied to the stationary-coherent
     test projector.  Right side: D[beta_e(t)] exp(L_ee t)(.) D_dag[beta_e(t)].
+    Both act on the first *dim* Fock levels.
     """
-    dim = rep.dim
     lhs, inner = _block_flows(params, t, _test_state(params, dim), "e", "e")
     be = analytic.coherent_pair(params, t).beta_e
     disp = oracle.displacement_operator(be, dim)
     return _trace_norm(lhs - disp @ inner @ disp.conj().T)
 
 
-def check_offdiagonal_disentangling(params: ModelParams, t: float, rep: SuperOpRep) -> float:
+def check_offdiagonal_disentangling(params: ModelParams, t: float, dim: int) -> float:
     """Trace-norm gap between the driven coherence flow and its factorized form.
 
     Left side: exp((L_eg + drive) t) on half the test projector.  Right
     side: the scalar exp(z + |F|^2(p^2 - q^2 + 2pq + |p+q|^2)) times
     D[beta_e] exp(2 conj(F)(Re p - i Im q) a) [exp(L_eg t)(.)]
     exp(-2F(Re p - i Im q) a_dag) D_dag[beta_g].  Validates the scalar
-    phase factor together with the operator factors.
+    phase factor together with the operator factors on the first *dim*
+    Fock levels.
     """
-    dim = rep.dim
     F = complex(params.drive)
     lhs, inner = _block_flows(params, t, 0.5 * _test_state(params, dim), "e", "g")
     parts = analytic.phase_parts(params, t)
@@ -311,17 +314,3 @@ def check_offdiagonal_disentangling(params: ModelParams, t: float, rep: SuperOpR
     )
     return _trace_norm(lhs - rhs)
 
-
-def check_baker_hausdorff(params: ModelParams, x: float, rep: SuperOpRep, margin: int = 1) -> float:
-    """Two-dimensional Baker-Hausdorff rule on the pair (L_ee, create_diff).
-
-    The bracket [L_ee, create_diff] = -(k+iw) create_diff closes, so
-    exp(x L_ee) create_diff = exp(-(k+iw)x) create_diff exp(x L_ee).  This
-    rearranged form avoids the growing inverse exponential; it is checked
-    on interior columns, where the truncated algebra is exact.
-    """
-    gen = oracle.field_liouvillian(replace(params, drive=0.0), rep.dim, "e", "e")
-    flow = scipy.linalg.expm(gen.toarray() * x)
-    lhs = flow @ rep.create_diff
-    rhs = np.exp(-(params.kappa + 1j * params.omega) * x) * rep.create_diff @ flow
-    return float(np.max(np.abs((lhs - rhs)[:, interior_mask(rep.dim, margin)])))

@@ -126,10 +126,9 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    max_step: float = math.inf
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.max_step > 0):
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("integrator tolerances must be positive")
 
 
@@ -341,7 +340,6 @@ def evolve_trajectory(
         float(times[-1]),
         rtol=config.rel_tol,
         atol=config.abs_tol,
-        max_step=config.max_step,
     )
     edges = (n * n - 1, 2 * n * n - 1)  # ee[N, N] and gg[N, N] in the packed vector
     try:

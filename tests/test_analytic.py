@@ -1,5 +1,6 @@
 """Closed-form solution: amplitudes, dephasing exponent, observables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,6 +105,25 @@ def test_distance_vanishes_without_coupling():
         assert analytic.coherent_pair(p, t).dist_sq == 0.0
 
 
+@pytest.mark.parametrize("record", [analytic.coherent_pair, analytic.phase_parts])
+@pytest.mark.parametrize("params", [P111, P_SUB, P_SUP])
+def test_records_over_a_time_array_equal_the_scalar_calls(record, params):
+    # numpy's vector and scalar loops may round the last bits differently
+    ts = np.linspace(0.0, 12.0, 49)
+    whole = record(params, ts)
+    types = {"float": float, "complex": complex}  # the annotations are strings
+    for i, t in enumerate(ts.tolist()):
+        one = record(params, t)
+        for field in dataclasses.fields(one):
+            value = getattr(one, field.name)
+            assert isinstance(value, np.generic), field.name
+            assert isinstance(value, types[field.type]), field.name
+            assert getattr(whole, field.name).shape == ts.shape, field.name
+            assert np.isclose(
+                getattr(whole, field.name)[i], value, rtol=1e-12, atol=1e-14
+            ), (field.name, t)
+
+
 # ---------------------------------------------------------------- dephasing exponent
 
 def test_phi_frozen_probe_points():
@@ -165,7 +185,6 @@ def test_observables_are_the_trace_columns_and_views_read_them(monkeypatch):
         "zeta_field": analytic.zeta_field,
         "corr_c": analytic.total_correlation,
         "concurrence": analytic.concurrence,
-        "nbar_analytic": analytic.mean_photon_number,
     }
     for name, view in views.items():
         assert np.array_equal(view(P_SUB, ts), cols[name]), name
@@ -289,16 +308,24 @@ def test_matrix_elements_weights_for_balanced_superposition():
 
 def test_stationary_state_frozen_amplitudes():
     ss = analytic.stationary_state(P111, AtomicAmplitudes.symmetric())
-    assert np.isclose(ss["amp_e"], -0.5 - 0.5j, atol=1e-15)
-    assert np.isclose(ss["amp_g"], 0.5 - 0.5j, atol=1e-15)
-    assert np.isclose(ss["weight_e"], 0.5, atol=1e-15)
-    assert np.isclose(ss["weight_g"], 0.5, atol=1e-15)
+    assert set(ss) == {"rho_ee", "rho_gg", "rho_eg"}
+    ee, gg, eg = ss["rho_ee"], ss["rho_gg"], ss["rho_eg"]
+    assert np.isclose(ee.ket_amplitude, -0.5 - 0.5j, atol=1e-15)
+    assert ee.bra_amplitude == ee.ket_amplitude
+    assert np.isclose(gg.ket_amplitude, 0.5 - 0.5j, atol=1e-15)
+    assert gg.bra_amplitude == gg.ket_amplitude
+    assert np.isclose(ee.weight, 0.5, atol=1e-15)
+    assert np.isclose(gg.weight, 0.5, atol=1e-15)
+    # classically correlated: no coherence between the atomic levels
+    assert eg.weight == 0.0
+    assert (eg.ket_amplitude, eg.bra_amplitude) == (ee.ket_amplitude, gg.ket_amplitude)
 
 
 def test_mean_photon_number_reaches_stationary_value():
     assert np.isclose(analytic.nbar_infinity(P111), 0.5)
-    assert np.isclose(analytic.mean_photon_number(P111, 1e3), 0.5, atol=1e-12)
-    assert np.isclose(analytic.mean_photon_number(P111, 0.0), 1.0)  # |  -iF/k |^2
+    nbar = analytic.observables(P111, np.array([1e3, 0.0]))["nbar_analytic"]
+    assert np.isclose(nbar[0], 0.5, atol=1e-12)
+    assert np.isclose(nbar[1], 1.0)  # |  -iF/k |^2
 
 
 def test_driven_mode_fixed_point():

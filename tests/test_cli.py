@@ -353,12 +353,20 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert len(rows2) == 7
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("modee = trace\n")
+@pytest.mark.parametrize(
+    "line",
+    ["modee = trace", "mode = bogus", "mode = Trace", "points = 1.5", "oracle = maybe"],
+    ids=lambda line: line.replace(" ", ""),
+)
+def test_config_file_rejects_bad_lines(tmp_path, monkeypatch, capsys, line):
+    # config values are checked as strictly as the flags they stand for
+    monkeypatch.chdir(tmp_path)
+    Path("bad.cfg").write_text(line + "\n")
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--config", str(cfg)])
+        cli.main(["--config", "bad.cfg", "--no-oracle"])
     assert exc.value.code == 2
+    assert "bad.cfg:1" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 def test_bad_grid_arguments_are_rejected(tmp_path, capsys):
