@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # called by qualified name: each submodule loads on first use
 
 from .model import AtomicAmplitudes, ModelParams
 
@@ -51,6 +50,10 @@ __all__ = [
 
 #: most steps of the sign-bracketing grid of :func:`critical_instants`
 MAX_BRACKET_STEPS = 2 ** 22
+
+# bisection stopping rule of :func:`critical_instants`: absolute and
+# relative tolerance on the half-width, and the most halvings
+_XTOL, _RTOL, _MAX_HALVINGS = 1e-15, 1e-12, 100
 
 
 # ---------------------------------------------------------------- record types
@@ -385,6 +388,34 @@ def transition_time(params: ModelParams) -> float:
     return math.log(w / k) / k if k < w else math.nan
 
 
+def _bisect(f, xa, xb, fa):
+    """Roots of f in the brackets [xa, xb], where f(xa) = fa and f(xb) differ in sign.
+
+    The halving loop of ``scipy.optimize.bisect``, run over every live
+    bracket at once with one evaluation of f per halving: each root is the
+    float that scalar loop returns for its bracket.
+    """
+    dm = xb - xa
+    roots = np.empty_like(xa)
+    live = np.arange(xa.size)
+    for _ in range(_MAX_HALVINGS):
+        if not live.size:
+            return roots
+        dm = 0.5 * dm
+        xm = xa + dm
+        fm = f(xm)
+        xa = np.where(fm * fa >= 0.0, xm, xa)
+        done = (fm == 0.0) | (np.abs(dm) < _XTOL + _RTOL * np.abs(xm))
+        roots[live[done]] = xm[done]
+        keep = ~done
+        live, xa, dm, fa = live[keep], xa[keep], dm[keep], fa[keep]
+    if live.size:
+        raise RuntimeError(
+            f"bisection left {live.size} brackets open after {_MAX_HALVINGS} halvings"
+        )
+    return roots
+
+
 def critical_instants(params: ModelParams, t_max: float, grid_step: float | None = None):
     """All critical instants in (0, t_max], sorted by time.
 
@@ -392,7 +423,10 @@ def critical_instants(params: ModelParams, t_max: float, grid_step: float | None
     bracket k(exp(-kt)cos wt - 1) - w exp(-kt) sin wt, found by sign
     bracketing on a uniform grid (default resolution pi/(64 w), finer than
     a quarter period so no sign change is skipped) and refined by
-    bisection to relative tolerance 1e-12.  At each such root the field
+    bisection to relative tolerance 1e-12, all brackets at once, with the
+    halving loop and stopping rule of ``scipy.optimize.bisect`` and the
+    same roots to the last bit.  A grid interval that starts at an exact
+    zero past t = 0 is bracketed from its midpoint.  At each root the field
     entropy and the concurrence vanish.
 
     Extremum candidates of the field entropy sit at t_c = (2n+1)pi/(2w)
@@ -429,15 +463,21 @@ def critical_instants(params: ModelParams, t_max: float, grid_step: float | None
     n_nodes = int(math.ceil(t_max / step)) + 1
     nodes = np.minimum(np.arange(n_nodes + 1) * step, t_max)
     vals = f(nodes)
-    a, b, fa, fb = nodes[:-1], nodes[1:], vals[:-1], vals[1:]
-    # an interval holds a root at its right node or a sign change inside;
-    # t = 0 is the trivial zero and never counts as a left node
-    for i in np.flatnonzero((a != b) & ((fb == 0.0) | (fa * fb < 0.0))):
-        root = b[i] if fb[i] == 0.0 else scipy.optimize.bisect(
-            f, a[i], b[i], xtol=1e-15, rtol=1e-12
-        )
-        if root > 0.0:
-            found.append(CriticalInstant(float(root), "disentangle", "local_min", -1))
+    a, b, fa, fb = nodes[:-1].copy(), nodes[1:], vals[:-1].copy(), vals[1:]
+    span = a != b  # the clamped last node may repeat t_max
+    # an interval holds a root at its right node or a sign change inside.
+    # One whose left node is an exact zero takes its left sign at its
+    # midpoint, so a root just past that zero is still bracketed; t = 0 is
+    # the trivial zero and never counts as a left node
+    at_node = b[span & (fb == 0.0)]
+    i = np.flatnonzero(span & (fa == 0.0) & (fb != 0.0) & (a > 0.0))
+    a[i] = 0.5 * (a[i] + b[i])
+    fa[i] = f(a[i])
+    inside = span & (fa * fb < 0.0)
+    for root in np.concatenate(
+        [at_node, a[i][fa[i] == 0.0], _bisect(f, a[inside], b[inside], fa[inside])]
+    ):
+        found.append(CriticalInstant(float(root), "disentangle", "local_min", -1))
 
     # --- quarter-period extremum candidates; for k >= w, t_trans is nan and
     # every odd-n instant compares as past it

@@ -146,8 +146,15 @@ def _read_config(path: str) -> dict:
     return overrides
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or config value on one stderr line, without usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def get_args(argv=None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dispersive-jcm",
         description="Closed-form decoherence dynamics of a dispersively "
         "coupled atom in a driven, damped cavity.",
@@ -199,7 +206,7 @@ def get_args(argv=None) -> argparse.Namespace:
         help="oracle integrator absolute tolerance (default: 1e-11)",
     )
 
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(prog=parser.prog, add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
     if known.config is not None:

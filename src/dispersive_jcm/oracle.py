@@ -146,6 +146,29 @@ class TwoQubitEmbedding:
 # Poisson tail weight a truncation may leave above its top level
 _TAIL_WEIGHT = 1e-12
 
+# Poisson means whose truncation is sought by summing tails; a larger mean
+# puts N above 10^4, far past any affordable one, and is refused unsummed
+_LARGEST_SUMMED_MEAN = 1e4
+
+
+def _poisson_tail(k: int, mean: float) -> float:
+    """P(Poisson(mean) > k) for k >= floor(mean), summed term by term.
+
+    Each term exp(-mean + j ln(mean) - ln j!) for j > k is smaller than the
+    one before, and the sum stops once a term falls below 1e-20 of the first.
+    """
+    if mean == 0.0:
+        return 0.0
+    log_mean = math.log(mean)
+    j = k + 1
+    first = term = math.exp(-mean + j * log_mean - math.lgamma(j + 1))
+    terms = []
+    while term > 1e-20 * first:
+        terms.append(term)
+        j += 1
+        term = math.exp(-mean + j * log_mean - math.lgamma(j + 1))
+    return math.fsum(terms)
+
 
 def fock_truncation(params: ModelParams) -> int:
     """Truncation index N from the amplitude bound abar = 2|F|/k.
@@ -154,20 +177,25 @@ def fock_truncation(params: ModelParams) -> int:
     transient displacements) has modulus at most abar, so its photon
     number is Poisson with mean at most abar^2.  N is one level above the
     smallest k with P(Poisson(abar^2) > k) <= 1e-12, found by bisection on
-    ``scipy.special.pdtrc``; the extra level keeps the top one, which the
-    edge guard watches, clear of the tail.  abar = 0 gives N = 1.  Raises
-    :class:`OracleError` when an integration at that truncation would not
-    fit :data:`MEMORY_BUDGET_BYTES`.
+    a direct sum of the Poisson tail; the extra level keeps the top one,
+    which the edge guard watches, clear of the tail.  abar = 0 gives N = 1.
+    Raises :class:`OracleError` when an integration at that truncation would
+    not fit :data:`MEMORY_BUDGET_BYTES`, without summing when abar^2 is
+    above 10^4.
     """
     abar = 2.0 * abs(params.drive) / params.kappa
     mean = abar * abar
+    # the Poisson median is at least floor(mean), so the tail there is at
+    # least 1/2 and N is at least floor(mean) + 1
+    if mean > _LARGEST_SUMMED_MEAN:
+        _check_affordable(math.floor(mean) + 2)
     # Poisson concentration, P(X >= mean + sqrt(2 mean x) + x) <= exp(-x) with
     # x = ln(1e12) < 28, bounds the quantile from above (finite: ModelParams
     # keeps abar^2 below 4e300)
-    fails, holds = -1, math.ceil(mean + 28.0 + math.sqrt(56.0 * mean))
+    fails, holds = math.floor(mean) - 1, math.ceil(mean + 28.0 + math.sqrt(56.0 * mean))
     while holds - fails > 1:
         mid = (fails + holds) // 2
-        if scipy.special.pdtrc(float(mid), mean) <= _TAIL_WEIGHT:
+        if _poisson_tail(mid, mean) <= _TAIL_WEIGHT:
             holds = mid
         else:
             fails = mid

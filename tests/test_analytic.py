@@ -82,14 +82,14 @@ def test_conditioned_amplitudes_at_infinity():
     assert np.isclose(pair.dist_sq, 1.0, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(params_st, times_st)
 def test_conditioned_amplitudes_have_equal_moduli(params, t):
     pair = analytic.coherent_pair(params, t)
     assert np.isclose(abs(pair.beta_e_prime), abs(pair.beta_g_prime), rtol=1e-12, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(params_st, times_st)
 def test_distance_closed_form_matches_amplitude_separation(params, t):
     pair = analytic.coherent_pair(params, t)
@@ -201,7 +201,7 @@ def test_observables_are_the_trace_columns_and_views_read_them(monkeypatch):
     assert len(calls) == 1
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(params_st, times_st)
 def test_global_eigenvalues_sum_to_one_and_give_entropy(params, t):
     obs = analytic.observables(params, t)
@@ -210,7 +210,7 @@ def test_global_eigenvalues_sum_to_one_and_give_entropy(params, t):
     assert np.isclose(obs["zeta_global"], 2 * lp * lm, rtol=1e-10, atol=1e-13)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(params_st, times_st)
 def test_field_eigenvalue_product_matches_entropy(params, t):
     obs = analytic.observables(params, t)
@@ -220,7 +220,7 @@ def test_field_eigenvalue_product_matches_entropy(params, t):
     assert np.isclose(zf, 2 * Lp * Lm, rtol=1e-10, atol=1e-13)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(params_st, times_st)
 def test_atom_eigenvalues_give_atom_entropy(params, t):
     # the reduced atom's eigenvalues are (1 +- exp(Re phi - D^2/2))/2
@@ -230,7 +230,7 @@ def test_atom_eigenvalues_give_atom_entropy(params, t):
     assert np.isclose(obs["zeta_atom"], 2 * ap * am, rtol=1e-10, atol=1e-13)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(params_st, times_st)
 def test_concurrence_from_eigenvalue_identity(params, t):
     obs = analytic.observables(params, t)
@@ -243,7 +243,7 @@ def test_concurrence_from_eigenvalue_identity(params, t):
     assert np.isclose(c ** 2, (lp - lm) ** 2 * 4 * Lp * Lm, rtol=1e-9, atol=1e-13)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(params_st, times_st)
 def test_observable_bounds(params, t):
     for f in (analytic.zeta_global, analytic.zeta_atom, analytic.zeta_field):
@@ -429,8 +429,16 @@ def _disentangle_roots_by_loop(params, t_max, step):
             continue
         if fb == 0.0:
             root = b
-        elif fa == 0.0:
-            continue
+        elif fa == 0.0 and a > 0.0:
+            # the left sign of an interval after an exact zero is its midpoint's
+            a = 0.5 * (a + b)
+            fa = f(a)
+            if fa == 0.0:
+                root = a
+            elif fa * fb < 0.0:
+                root = bisect(f, a, b, xtol=1e-15, rtol=1e-12)
+            else:
+                continue
         elif fa * fb < 0.0:
             root = bisect(f, a, b, xtol=1e-15, rtol=1e-12)
         else:
@@ -438,6 +446,13 @@ def _disentangle_roots_by_loop(params, t_max, step):
         if root > 0.0:
             roots.append(float(root))
     return roots
+
+
+def _disentangle_roots(params, t_max, step=None):
+    return [
+        c.t_c for c in analytic.critical_instants(params, t_max, grid_step=step)
+        if c.kind == "disentangle"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -455,12 +470,49 @@ def test_critical_instants_bracket_as_the_node_loop(monkeypatch, params, t_max, 
         # touch, and the clamped last node repeats it), one inside (1.5, 1.75)
         stub = lambda p, t: (t - 1.0) * (t - 1.6) * (t - 2.5) ** 2
         monkeypatch.setattr(analytic, "_disentangle_bracket", stub)
-    roots = [
-        c.t_c for c in analytic.critical_instants(params, t_max, grid_step=step)
-        if c.kind == "disentangle"
-    ]
     expected = _disentangle_roots_by_loop(params, t_max, step)
-    assert roots == expected and len(expected) >= 2
+    assert _disentangle_roots(params, t_max, step) == expected and len(expected) >= 2
+
+
+def test_critical_instants_find_the_root_right_after_an_exact_zero(monkeypatch):
+    # the root 1.2 lies in (1.0, 1.25), whose left node is the exact zero 1.0
+    stub = lambda p, t: (t - 1.0) * (t - 1.2) * (t - 2.5) ** 2
+    monkeypatch.setattr(analytic, "_disentangle_bracket", stub)
+    params = ModelParams(1.0, 0.2, 0.2)
+    roots = _disentangle_roots(params, 2.5, 0.25)
+    assert roots == _disentangle_roots_by_loop(params, 2.5, 0.25)
+    assert len(roots) == 3 and roots[0] == 1.0 and roots[2] == 2.5
+    assert roots[1] == pytest.approx(1.2, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "k_over_omega, f_over_k, t_max_pi",
+    [(0.2, 1.0, 40), (0.01, 0.6, 1e4), (0.7, 0.6, 1e4), (0.2, 1.0, 1e4), (0.05, 1.0, 3000)],
+)
+def test_disentangle_roots_are_scipy_bisect_bit_for_bit(k_over_omega, f_over_k, t_max_pi):
+    # the standard schedules: the array bisection returns the float that
+    # scipy.optimize.bisect returns for each bracket, not merely a close one
+    params = make_params(k_over_omega, f_over_k)
+    t_max = t_max_pi * math.pi / params.omega
+    expected = _disentangle_roots_by_loop(params, t_max, math.pi / (64 * params.omega))
+    assert _disentangle_roots(params, t_max) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k_over_omega=st.floats(1e-3, 10.0),
+    f_over_k=st.floats(1e-2, 10.0),
+    t_max_pi=st.floats(0.1, 200.0),
+    steps_per_period=st.integers(3, 256),
+)
+def test_disentangle_roots_match_scipy_bisect_on_any_grid(
+    k_over_omega, f_over_k, t_max_pi, steps_per_period
+):
+    params = make_params(k_over_omega, f_over_k)
+    t_max = t_max_pi * math.pi / params.omega
+    step = 2 * math.pi / (steps_per_period * params.omega)
+    expected = _disentangle_roots_by_loop(params, t_max, step)
+    assert _disentangle_roots(params, t_max, step) == expected
 
 
 def test_critical_instants_refuse_a_bracketing_grid_above_the_limit():

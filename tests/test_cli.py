@@ -365,8 +365,27 @@ def test_config_file_rejects_bad_lines(tmp_path, monkeypatch, capsys, line):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--config", "bad.cfg", "--no-oracle"])
     assert exc.value.code == 2
-    assert "bad.cfg:1" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dispersive-jcm: error: bad.cfg:1: ")
     assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["--points", "1"], ["--points", "x"], ["--mode", "bogus"], ["--config"]]
+)
+def test_bad_flags_print_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dispersive-jcm: error: "), err
+
+
+def test_help_keeps_its_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dispersive-jcm ")
 
 
 def test_bad_grid_arguments_are_rejected(tmp_path, capsys):
@@ -381,7 +400,8 @@ def test_bad_grid_arguments_are_rejected(tmp_path, capsys):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["--mode", mode, flag, value, "--out", str(out)])
             assert exc.value.code == 2
-            assert capsys.readouterr().err.splitlines()[-1].startswith("dispersive-jcm: error:")
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("dispersive-jcm: error:")
             assert not out.exists()
 
 
@@ -481,7 +501,8 @@ def test_verify_without_out_names_the_unwritable_temp_dir(tmp_path, capsys, monk
 
 
 def test_import_and_csv_modes_load_no_scipy_submodule(tmp_path):
-    # the closed forms need numpy alone; scipy's submodules load on first use
+    # the closed forms, their roots and the Fock truncation need numpy alone;
+    # scipy's submodules load on first use
     package_root = Path(dispersive_jcm.__file__).resolve().parents[1]
     pythonpath = filter(None, [str(package_root), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
@@ -490,6 +511,12 @@ def test_import_and_csv_modes_load_no_scipy_submodule(tmp_path):
         "import dispersive_jcm, dispersive_jcm.cli as cli\n"
         "assert cli.main(['--mode', 'trace', '--points', '5', '--out', 't.csv']) == 0\n"
         "assert cli.main(['--mode', 'figures', '--points', '5', '--out', 'figs']) == 0\n"
+        "assert cli.main(['--mode', 'critical', '--k-over-omega', '0.2', '--t-max-pi', '40',\n"
+        "                 '--out', 'c.csv']) == 0\n"
+        "import csv\n"
+        "assert any(r['kind'] == 'disentangle' for r in csv.DictReader(open('c.csv')))\n"
+        "from dispersive_jcm import model, oracle\n"
+        "assert oracle.fock_truncation(model.ModelParams(1.0, 0.2, 0.4)) == 52\n"
         "heavy = {'scipy.sparse', 'scipy.integrate', 'scipy.linalg', 'scipy.optimize', 'scipy.special'}\n"
         "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy))\n"
     )
@@ -504,6 +531,31 @@ def test_import_and_csv_modes_load_no_scipy_submodule(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert len(list((tmp_path / "figs").iterdir())) == len(cli.FIGURE_SETS)
+
+
+def test_verify_without_oracle_loads_neither_optimize_nor_special(tmp_path):
+    # only scipy.integrate, which the oracle's integrator needs, brings them
+    package_root = Path(dispersive_jcm.__file__).resolve().parents[1]
+    pythonpath = filter(None, [str(package_root), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    code = (
+        "import sys, contextlib, io\n"
+        "import dispersive_jcm.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['--mode', 'verify', '--no-oracle', '--out', 'r.txt']) == 0\n"
+        "heavy = {'scipy.optimize', 'scipy.special', 'scipy.integrate'}\n"
+        "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_invalid_physics_parameters_exit_nonzero(tmp_path, capsys):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import DOP853
 from scipy.special import pdtrc
 
@@ -39,6 +41,33 @@ def test_fock_truncation_is_the_smallest_meeting_the_poisson_bound(abar):
     assert tail(n - 1) <= 1e-12 < tail(n - 2)
     if abar == 0.0:
         assert n == 1
+
+
+def _pdtrc_truncation(abar):
+    """The truncation rule with scipy's Poisson tail, bisected from k = -1."""
+    mean = abar * abar
+    fails, holds = -1, math.ceil(mean + 28.0 + math.sqrt(56.0 * mean))
+    while holds - fails > 1:
+        mid = (fails + holds) // 2
+        if pdtrc(float(mid), mean) <= 1e-12:
+            holds = mid
+        else:
+            fails = mid
+    return holds + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(abar=st.one_of(st.floats(0.0, 40.0), st.floats(0.0, 1.0)))
+def test_fock_truncation_follows_the_pdtrc_rule(abar):
+    # the refusal above N = 616 names the N the rule gives
+    expected = _pdtrc_truncation(abar)
+    params = ModelParams(1.0, 1.0, abar / 2.0)
+    try:
+        n = oracle.fock_truncation(params)
+    except oracle.OracleError as exc:
+        assert f"N = {expected} " in str(exc)
+    else:
+        assert n == expected
 
 
 def test_coherent_state_vector_is_normalized_eigenvector():
