@@ -150,19 +150,25 @@ def _dist_sq(params: ModelParams, t):
     return np.abs(u - v) ** 2
 
 
-def _theta_gamma(params: ModelParams, t):
-    """The two real drive corrections, in the direct printed grouping."""
+def _theta(params: ModelParams, t):
+    """The oscillatory real drive correction, in the direct printed grouping."""
     w, k = params.omega, params.kappa
     F2 = abs(params.drive) ** 2
     w2 = k * k + w * w
-    theta = F2 / (k * w2) * (
+    return F2 / (k * w2) * (
         np.exp(-2 * k * t) * (k * np.sin(2 * w * t) + w * np.cos(2 * w * t)) - w
     )
-    gamma = (
+
+
+def _gamma(params: ModelParams, t):
+    """The secular real drive correction, in the direct printed grouping."""
+    w, k = params.omega, params.kappa
+    F2 = abs(params.drive) ** 2
+    w2 = k * k + w * w
+    return (
         -F2 / k ** 2 * (1.0 - np.exp(-2 * k * t))
         - F2 / (k * w2) * (np.exp(-2 * k * t) * (k * np.cos(2 * w * t) - w * np.sin(2 * w * t)) - k)
     )
-    return theta, gamma
 
 
 def _phi(params: ModelParams, t):
@@ -171,7 +177,16 @@ def _phi(params: ModelParams, t):
     Equal to the term-by-term sum of the z/p/q/theta/gamma fields of
     :func:`phase_parts` but with every exponential decaying, so it stays
     accurate arbitrarily far into the stationary regime.
-    Array-capable in t.
+    Array-capable in t.  The five terms -iwt, secular, i theta, gamma and
+    the residual are summed left to right into one array, and each
+    intermediate is released once it is used, so an array call holds a
+    few arrays of t's size at a time.
+
+    Every operation keeps the operands and the order of the direct
+    expression, and a named array stays named: numpy computes a binary
+    operation on a large temporary in place, with the operands swapped
+    when the temporary is on the right, and a swapped complex product can
+    differ in the last bit.
     """
     w, k, F = params.omega, params.kappa, complex(params.drive)
     t = np.asarray(t, dtype=float)
@@ -180,42 +195,55 @@ def _phi(params: ModelParams, t):
     F2 = abs(F) ** 2
     w2 = k * k + w * w
     eta = _cexpm1(-c * t)  # exp(-ct) - 1
-    etab = np.conj(eta)
     # z + |F|^2(p^2 - q^2 + 2pq + |p+q|^2), regrouped in powers of eta.
     # The quadratic tail is written as |s|^2 - s^2 with s = eta/c so that
     # it cancels bit-exactly when omega = 0 (s is then real and both
     # squares are the same float).
     s = eta / c
-    secular = (
-        -(2j * w * F2 / c ** 2) * (t + eta * (2.0 - eta) / (2 * c))
-        + F2 * ((s * np.conj(s)).real - s * s)
-    )
-    theta, _ = _theta_gamma(params, t)
+    secular = -(2j * w * F2 / c ** 2) * (t + eta * (2.0 - eta) / (2 * c))
+    secular += F2 * ((s * np.conj(s)).real - s * s)
+    del s
+    phi = -1j * w * t
+    phi += secular
+    del secular
+    phi += 1j * _theta(params, t)
     # gamma regrouped so both exponentials decay and every term carries a
     # structural factor of omega (sin^2(wt) or w itself), making the
     # omega = 0 limit exactly zero
     xi = _cexpm1(2 * (1j * w - k) * t)
-    gamma = (2 * F2 / k ** 2) * np.exp(-2 * k * t) * np.sin(w * t) ** 2 + (
-        F2 * w / (k ** 2 * w2)
-    ) * (w * xi.real + k * xi.imag)
-    pq = 1j * eta / c  # p + q, bounded for all t
-    # bounded products exp(-ct) * {cosh(ct)-1, sinh(ct)} and conjugates
+    gamma = (2 * F2 / k ** 2) * np.exp(-2 * k * t) * np.sin(w * t) ** 2
+    gamma += (F2 * w / (k ** 2 * w2)) * (w * xi.real + k * xi.imag)
+    del xi
+    phi += gamma
+    del gamma
+    # the residual drive block, from the bounded products exp(-ct) *
+    # {cosh(ct)-1, sinh(ct)} and their conjugates, and p + q = i eta/c
     e_cosh = 0.5 * eta ** 2
-    e_cosh_b = 0.5 * np.exp(-2j * w * t) * etab ** 2
-    e_sinh = 0.5 * (1.0 - np.exp(-2 * c * t))
-    e_sinh_b = 0.5 * (np.exp(-2j * w * t) - np.exp(-2 * k * t))
+    e_cosh_b = 0.5 * np.exp(-2j * w * t) * np.conj(eta) ** 2
+    pq = 1j * eta / c  # p + q, bounded for all t
+    del eta
+    resid = 2j * np.real(pq * np.exp(-k * t) * np.cos(w * t))
+    resid -= 2j * np.imag(pq * np.exp(-k * t) * np.sin(w * t))
+    del pq
     e_q = -(w / c ** 2) * e_cosh
-    e_q_b = -(w / cb ** 2) * e_cosh_b
-    e_p = (1j * k / c ** 2) * e_cosh - (1j / c) * e_sinh
-    e_p_b = (-1j * k / cb ** 2) * e_cosh_b + (1j / cb) * e_sinh_b
-    e_im_q = (e_q - e_q_b) / 2j  # exp(-ct) * Im q
-    e_re_p = (e_p + e_p_b) / 2  # exp(-ct) * Re p
-    resid = (F2 / k) * (
-        2j * np.real(pq * np.exp(-k * t) * np.cos(w * t))
-        - 2j * np.imag(pq * np.exp(-k * t) * np.sin(w * t))
-        - 4 * (e_im_q + 1j * e_re_p)
-    )
-    return -1j * w * t + secular + 1j * theta + gamma + resid
+    e_q -= -(w / cb ** 2) * e_cosh_b
+    e_q /= 2j  # exp(-ct) * Im q
+    e_sinh = 0.5 * (1.0 - np.exp(-2 * c * t))
+    e_p = (1j * k / c ** 2) * e_cosh
+    e_p -= (1j / c) * e_sinh
+    del e_cosh, e_sinh
+    e_sinh_b = 0.5 * (np.exp(-2j * w * t) - np.exp(-2 * k * t))
+    e_p_b = (-1j * k / cb ** 2) * e_cosh_b
+    e_p_b += (1j / cb) * e_sinh_b
+    del e_cosh_b, e_sinh_b
+    e_p += e_p_b
+    del e_p_b
+    e_p /= 2  # exp(-ct) * Re p
+    resid -= 4 * (e_q + 1j * e_p)
+    del e_q, e_p
+    resid *= F2 / k
+    phi += resid
+    return phi
 
 
 # ---------------------------------------------------------------- operations
@@ -265,8 +293,7 @@ def phase_parts(params: ModelParams, t) -> PhaseParts:
         + (4 * (np.exp(-c * t) - 1.0) - np.exp(-2 * c * t) + 1.0) / (2 * c)
         + 1j * (w / c ** 2) * W ** 2
     )
-    theta, gamma = _theta_gamma(params, t)
-    return PhaseParts(z, p, q, theta, gamma, _phi(params, t))
+    return PhaseParts(z, p, q, _theta(params, t), _gamma(params, t), _phi(params, t))
 
 
 def re_phi_longtime_rate(params: ModelParams) -> float:

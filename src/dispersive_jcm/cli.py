@@ -20,10 +20,11 @@ runs with the same arguments are byte-identical and interrupted runs
 leave no partial files behind.  A CSV holds only finite numbers (apart
 from critical's ``t_trans``, nan when there is no transition); parameters
 whose closed forms leave the floating-point range exit 2 with one error
-line instead, as does an output path that cannot be written.  A trace or
-figure table is checked for finiteness as a whole before its temp file is
-opened, then streamed to it in blocks of rows; the writer holds a few
-blocks, not the file.  Each block is
+line instead, as does an output path that cannot be written or a grid
+too large to allocate.  Every column of a trace or figure table is
+checked for finiteness before its temp file is opened, then the columns
+are streamed to it in blocks of rows; the writer holds a few blocks, not
+the file or a stacked copy of the table.  Each block is
 formatted by a numpy kernel that writes the bytes of ``"%.16e" % v``
 exactly: Dekker's error-free product (Numer. Math. 18 (1971) 224) gives
 |v| 10**s as an exact double pair, from which the 17 digits are rounded
@@ -352,21 +353,23 @@ def _format_block(block: np.ndarray) -> str:
     return slots.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_blocks(header: list[str], table: np.ndarray) -> Iterator[str]:
+def _csv_blocks(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
     """The header line, then the text of each block of up to _BLOCK_ROWS rows.
 
-    :func:`_format_block` writes every value as :func:`_fmt` does, byte for
-    byte, holding one block's arrays and text at a time.
+    Each block stacks its rows of the equal-length ``columns``, so the
+    whole table is never copied, and :func:`_format_block` writes every
+    value as :func:`_fmt` does, byte for byte, holding one block's arrays
+    and text at a time.
     """
     yield ",".join(header) + "\n"
-    for start in range(0, len(table), _BLOCK_ROWS):
-        yield _format_block(table[start:start + _BLOCK_ROWS])
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield _format_block(np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns]))
 
 
 def _trace_table(
     params: ModelParams, times: np.ndarray, with_oracle: bool, config: IntegratorConfig
-) -> tuple[list[str], np.ndarray]:
-    """Header and finite value table of a trace; raises before anything is written."""
+) -> tuple[list[str], list[np.ndarray]]:
+    """Header and finite value columns of a trace; raises before anything is written."""
     columns = analytic.observables(params, times)
     header = list(TRACE_COLUMNS)
     data = [times / math.pi] + [columns[name] for name in TRACE_COLUMNS[1:]]
@@ -375,30 +378,30 @@ def _trace_table(
         oracle_columns = oracle.series(params, times, pair.beta_e_prime, pair.beta_g_prime, config)
         header += list(ORACLE_COLUMNS)
         data += [oracle_columns[name[len("oracle_"):]] for name in ORACLE_COLUMNS]
-    table = np.column_stack(data)
-    finite = np.isfinite(table).all(axis=0)
-    if not finite.all():
-        bad = ", ".join(name for name, ok in zip(header, finite) if not ok)
-        raise ValueError(f"non-finite values in {bad}: parameters outside the numerical range")
-    return header, table
+    bad = [name for name, column in zip(header, data) if not np.isfinite(column).all()]
+    if bad:
+        raise ValueError(
+            f"non-finite values in {', '.join(bad)}: parameters outside the numerical range"
+        )
+    return header, data
 
 
 def _run_trace(args, params: ModelParams, config: IntegratorConfig) -> int:
     times = np.linspace(0.0, args.t_max_pi * math.pi, args.points)
-    header, table = _trace_table(params, times, args.oracle, config)
-    _atomic_write(Path(args.out), _csv_blocks(header, table))
+    header, columns = _trace_table(params, times, args.oracle, config)
+    _atomic_write(Path(args.out), _csv_blocks(header, columns))
     return 0
 
 
 def _run_figures(args, config: IntegratorConfig) -> int:
+    times = np.linspace(0.0, args.t_max_pi * math.pi, args.points)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    times = np.linspace(0.0, args.t_max_pi * math.pi, args.points)
 
     def build(entry):
         name, k_ow, f_ok = entry
-        header, table = _trace_table(make_params(k_ow, f_ok), times, args.oracle, config)
-        _atomic_write(out_dir / name, _csv_blocks(header, table))
+        header, columns = _trace_table(make_params(k_ow, f_ok), times, args.oracle, config)
+        _atomic_write(out_dir / name, _csv_blocks(header, columns))
 
     with ThreadPoolExecutor(max_workers=len(FIGURE_SETS)) as pool:
         for _ in pool.map(build, FIGURE_SETS):
@@ -464,6 +467,9 @@ def main(argv=None) -> int:
             return _run_verify(args, config)
         except (OracleError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+        except MemoryError as exc:
+            # a --points grid too large to allocate fails here at once
+            print(f"error: out of memory: {exc}", file=sys.stderr)
         except ArithmeticError as exc:
             print(
                 f"error: parameters outside the numerical range ({type(exc).__name__}: {exc})",

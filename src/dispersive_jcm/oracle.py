@@ -338,7 +338,10 @@ def evolve_trajectory(
     unpacked, so the cost is one integration regardless of how many points
     are requested.  Raises :class:`OracleError` when the edge Fock
     population exceeds 1e-8 at any accepted step or the integrator fails
-    (step-size underflow).
+    (step-size underflow).  A finished integration logs one debug record:
+    N, accepted steps (one per ``step()`` call), the solver's RHS
+    evaluation count, dense-output interpolants built, and the largest
+    edge population seen.
     """
     config = config or IntegratorConfig()
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -370,23 +373,33 @@ def evolve_trajectory(
         atol=config.abs_tol,
     )
     edges = (n * n - 1, 2 * n * n - 1)  # ee[N, N] and gg[N, N] in the packed vector
+    steps = interpolants = 0
+    max_edge = 0.0
     try:
         while solver.status == "running":
             message = solver.step()
             if solver.status == "failed":
                 raise OracleError(f"integration failed at t={solver.t:.6g}: {message}")
+            steps += 1
             current = np.ascontiguousarray(solver.y).view(complex)
             edge = max(abs(current[i]) for i in edges)
             if edge > 1e-8:
                 raise OracleError(
                     f"edge Fock population {edge:.3e} at t={solver.t:.6g}: truncation blow-up"
                 )
+            max_edge = max(max_edge, edge)
             if ptr < times.size and solver.t >= times[ptr]:
                 dense = solver.dense_output()
+                interpolants += 1
                 while ptr < times.size and times[ptr] <= solver.t:
                     out = np.ascontiguousarray(dense(times[ptr])).view(complex)
                     yield float(times[ptr]), _unpack(out, n)
                     ptr += 1
+        log.debug(
+            "integrated N=%d over [%g, %g]: %d accepted steps, %d RHS evaluations, "
+            "%d dense outputs, max edge population %.3e",
+            n - 1, rho0.time, solver.t, steps, solver.nfev, interpolants, max_edge,
+        )
     finally:
         # the solver refers to itself through its fun closures: break that
         # cycle so it and its stage buffers are freed now, not at a full GC
@@ -442,6 +455,23 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
+def _displaced_first_excited(coherent: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """D(alpha)|1> = (a_dag - conj(alpha))|alpha> for each row |alpha> of ``coherent``.
+
+    One ladder step on the Fock coefficients (a_dag drops the top level),
+    then Gram-Schmidt against |alpha> and normalisation, so each row is a
+    unit vector orthogonal to its coherent row.  O(n) per row, where a
+    column of the dense exponential D(alpha) costs O(n^3) and starts the
+    BLAS thread pool.
+    """
+    n = coherent.shape[-1]
+    out = np.zeros_like(coherent)
+    out[:, 1:] = np.sqrt(np.arange(1.0, n)) * coherent[:, :-1]
+    out -= np.conj(alpha)[:, None] * coherent
+    out -= np.einsum("mi,mi->m", coherent.conj(), out)[:, None] * coherent
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
 def embed_two_qubit(
     rho: FockDensityMatrix | np.ndarray, beta_e_prime, beta_g_prime
 ) -> TwoQubitEmbedding:
@@ -450,9 +480,10 @@ def embed_two_qubit(
     The field basis is built by Gram-Schmidt with the first vector along
     |beta_e'>.  When the two coherent states coincide up to 1e-14 in
     overlap (disentanglement instants and t = 0), the span degenerates to
-    one dimension; the second basis vector is then taken as the orthogonal
-    displaced first-excited direction and the result is flagged.  Each
-    field block rho_xy is projected as basis^H rho_xy basis.
+    one dimension; the second basis vector is then taken as the displaced
+    first-excited direction D(beta_e')|1>, one ladder step on |beta_e'>,
+    and the result is flagged.  Each field block rho_xy is projected as
+    basis^H rho_xy basis.
 
     A stack of m joint matrices takes m amplitudes of each kind and gives
     an (m, 4, 4) matrix with per-state leakage and degenerate arrays; one
@@ -470,8 +501,7 @@ def embed_two_qubit(
     f2 = f2_raw - overlap[:, None] * f1
     norm = np.linalg.norm(f2, axis=1, keepdims=True)
     f2 = f2 / np.where(degenerate[:, None], 1.0, norm)
-    for i in np.flatnonzero(degenerate):
-        f2[i] = displacement_operator(u[i], n)[:, 1]
+    f2[degenerate] = _displaced_first_excited(f1[degenerate], u[degenerate])
     basis = np.stack([f1, f2], axis=-1)  # m x n x 2
     blocks = stack.reshape(m, 2, n, 2, n).transpose(0, 1, 3, 2, 4)  # [m, x, y] = rho_xy
     reduced = (

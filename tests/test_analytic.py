@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,21 @@ def test_phi_without_drive_is_pure_rotation():
 def test_phi_vanishes_at_t_zero():
     for p in (P111, P_SUB, P_SUP):
         assert complex(analytic._phi(p, 0.0)) == 0.0
+
+
+def test_phi_holds_a_few_arrays_of_t():
+    # summing the five terms of phi in one expression holds about twenty
+    # complex arrays of t's size at once; the sum into one array, eight
+    t = np.linspace(0.0, 40.0, 100001)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        phi = analytic._phi(P_SUB, t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert phi.shape == t.shape
+    assert peak < 10 * 16 * t.size, f"_phi peak {peak / 2**20:.1f} MiB"
 
 
 def test_phase_parts_all_vanish_at_t_zero():

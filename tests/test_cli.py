@@ -275,7 +275,7 @@ def test_block_writer_matches_per_value_formatting(tmp_path, rows, ncols):
     for r in {0, 4095, 4096, rows - 1} & set(range(rows)):
         table[r] = np.resize(np.roll(special, r), ncols)
     header = [f"c{j}" for j in range(ncols)]
-    chunks = list(cli._csv_blocks(header, table))
+    chunks = list(cli._csv_blocks(header, list(table.T)))
     assert [c.count("\n") for c in chunks[1:]] == [
         min(cli._BLOCK_ROWS, rows - start) for start in range(0, rows, cli._BLOCK_ROWS)
     ]
@@ -302,7 +302,7 @@ def test_a_failing_chunk_leaves_no_partial_file(tmp_path, failure):
     table = np.ones((3 * cli._BLOCK_ROWS, len(cli.TRACE_COLUMNS)))
 
     def chunks():
-        blocks = cli._csv_blocks(list(cli.TRACE_COLUMNS), table)
+        blocks = cli._csv_blocks(list(cli.TRACE_COLUMNS), list(table.T))
         yield next(blocks)  # the header
         yield next(blocks)  # the first block of rows
         raise failure("interrupted")
@@ -325,13 +325,28 @@ def test_block_writer_holds_a_few_blocks_not_the_file(tmp_path):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cli._atomic_write(out, cli._csv_blocks(list(cli.TRACE_COLUMNS), table))
+        cli._atomic_write(out, cli._csv_blocks(list(cli.TRACE_COLUMNS), list(table.T)))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     bound = 8 * 2**20
     assert out.stat().st_size > 3 * bound  # holding the whole text would exceed the bound
     assert peak < bound, f"writer peak {peak / 2**20:.1f} MiB above the table"
+
+
+def test_trace_holds_its_columns_and_a_few_arrays_more(tmp_path):
+    # stacking the columns into one table and summing phi's five terms in
+    # one expression takes about 21 complex arrays of the grid; 16 MiB is 10.5
+    points = 100001
+    argv = ["--k-over-omega", "0.37", "--f-over-k", "1.7", "--points", str(points)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["--mode", "trace", *argv, "--out", str(tmp_path / "t.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 16 * points, f"trace peak {peak / 2**20:.1f} MiB"
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
@@ -426,6 +441,17 @@ def test_out_of_range_ratios_exit_2_with_one_line(tmp_path, capsys, mode, k_over
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
     assert not out.with_name(out.name + ".tmp").exists()
+
+
+@pytest.mark.parametrize("mode", ["trace", "figures"])
+def test_a_grid_too_large_to_allocate_exits_2_with_one_line(tmp_path, capsys, mode):
+    # 10**15 points need 7 PiB, so the allocation fails at once
+    out = tmp_path / "out"
+    rc = cli.main(["--mode", mode, "--points", str(10**15), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: ")
+    assert not out.exists()
 
 
 def test_critical_horizon_above_the_bracketing_limit_exits_2(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 import ast
 import gc
+import logging
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.integrate import DOP853
 from scipy.special import pdtrc
 
@@ -164,6 +167,30 @@ def test_trajectory_emits_requested_times_in_one_pass():
     assert oracle.trace_distance(out[-1][1], ref) < 1e-8
 
 
+def test_each_finished_integration_logs_one_stats_record(caplog):
+    pattern = re.compile(
+        r"integrated N=(\d+) over \[\S+, \S+\]: (\d+) accepted steps, (\d+) RHS "
+        r"evaluations, (\d+) dense outputs, max edge population (\S+)$"
+    )
+    params = make_params(0.2, 1.0)
+    rho0 = oracle.initial_state(params, BALANCED)
+    times = np.linspace(0.0, 2.0, 9)
+    with caplog.at_level(logging.DEBUG, logger=oracle.__name__):
+        oracle.series(params, times, np.zeros(9, complex), np.zeros(9, complex))
+        oracle.evolve(params, rho0, 1.0)
+        list(oracle.evolve_trajectory(params, rho0, [0.0]))  # nothing to integrate
+    stats = [pattern.match(r.getMessage()) for r in caplog.records]
+    stats = [m for m in stats if m is not None]
+    assert len(stats) == 2  # one per integration
+    for m, emitted in zip(stats, (times.size - 1, 1)):
+        n, accepted, nfev, dense = (int(m.group(i)) for i in range(1, 5))
+        assert n == rho0.n_fock - 1
+        # twelve evaluations per DOP853 attempt, rejected attempts included
+        assert accepted >= 1 and nfev >= 12 * accepted
+        assert 1 <= dense <= min(accepted, emitted)
+        assert 0.0 <= float(m.group(5)) <= 1e-8
+
+
 def test_trajectory_validates_time_ordering():
     rho0 = oracle.initial_state(P111, BALANCED)
     with pytest.raises(ValueError):
@@ -301,6 +328,51 @@ def test_embedding_flags_the_degenerate_start():
     assert emb.degenerate
     assert abs(emb.leakage) < 1e-10
     assert np.isclose(np.trace(emb.matrix).real, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("f_over_k", [0.5, 1.0, 2.0])
+def test_degenerate_direction_is_the_displaced_first_excited_state(f_over_k):
+    # every amplitude of the dynamics stays in the disc |u| <= |F|/kappa, and
+    # the truncation is sized for twice that radius
+    n = oracle.fock_truncation(make_params(0.2, f_over_k)) + 1
+    radii = np.array([0.0, 0.1, 0.25, 0.5, 1.0, 2.0])
+    radii = radii[radii <= f_over_k]
+    u = (radii[:, None] * np.exp(1j * np.array([0.0, 0.9, 2.3, -1.6]))).ravel()
+    f1 = oracle.coherent_state_vector(u, n)
+    f2 = oracle._displaced_first_excited(f1, u)
+    for i, alpha in enumerate(u):
+        # the dense exponential on eight more levels, restricted: on n levels
+        # its own top entry is off by 1.2e-11 at N = 15 and |u| = 0.5
+        reference = oracle.displacement_operator(alpha, n + 8)[:n, 1]
+        assert np.max(np.abs(f2[i] - reference)) <= 1e-12, alpha
+        if f_over_k >= 1.0:
+            reference = oracle.displacement_operator(alpha, n)[:, 1]
+            assert np.max(np.abs(f2[i] - reference)) <= 1e-12, alpha
+        assert abs(np.vdot(f1[i], f2[i])) <= 1e-14, alpha
+        assert abs(np.linalg.norm(f2[i]) - 1.0) <= 1e-14, alpha
+
+
+def test_oracle_measurements_call_no_dense_matrix_exponential(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.expm called on the oracle path")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    params = make_params(0.2, 1.0)
+    times = np.linspace(0.0, 4.0 * np.pi, 41)
+    pair = analytic.coherent_pair(params, times)
+    got = oracle.series(params, times, pair.beta_e_prime, pair.beta_g_prime)
+    assert got["concurrence"][0] == 0.0  # the degenerate start
+    # the disentanglement roots of c4, where the embedding degenerates too
+    roots = [c.t_c for c in analytic.critical_instants(params, 4.0 * np.pi)
+             if c.kind == "disentangle"]
+    rho0 = oracle.initial_state(params, BALANCED)
+    flags = []
+    for t, mat in oracle.evolve_trajectory(params, rho0, roots):
+        pair = analytic.coherent_pair(params, t)
+        emb = oracle.embed_two_qubit(mat, pair.beta_e_prime, pair.beta_g_prime)
+        flags.append(emb.degenerate)
+        assert oracle.wootters_concurrence(emb.matrix) <= 1e-4
+    assert len(flags) == 2 and all(flags)
 
 
 def test_embedded_concurrence_matches_closed_form():
