@@ -334,7 +334,7 @@ def observables(params: ModelParams, t) -> dict:
     # D^2 goes through _dist_sq, not the amplitudes below, so that every
     # view sees a replaced _phi or _dist_sq: the acceptance gate's own
     # tests corrupt these two kernels to show that the gate notices
-    re_phi = np.real(_phi(params, t))
+    re_phi = np.real(_phi(params, t)).copy()  # owned: a view keeps complex phi alive
     d2 = _dist_sq(params, t)
     _, _, u, _ = _amplitudes(params, t)
     x_g = np.exp(re_phi)

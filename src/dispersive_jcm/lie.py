@@ -302,14 +302,13 @@ def check_offdiagonal_disentangling(params: ModelParams, t: float, dim: int) -> 
         parts.z + abs(F) ** 2 * (p ** 2 - q ** 2 + 2 * p * q + abs(p + q) ** 2)
     )
     pair = analytic.coherent_pair(params, t)
-    a = oracle.lowering_operator(dim)
     mix = p.real - 1j * q.imag
     rhs = (
         scalar
         * oracle.displacement_operator(pair.beta_e, dim)
-        @ scipy.linalg.expm(2.0 * np.conj(F) * mix * a)
+        @ oracle.ladder_exponential(2.0 * np.conj(F) * mix, dim)
         @ inner
-        @ scipy.linalg.expm(-2.0 * F * mix * a.conj().T)
+        @ oracle.ladder_exponential(-2.0 * F * mix, dim).T
         @ oracle.displacement_operator(pair.beta_g, dim).conj().T
     )
     return _trace_norm(lhs - rhs)

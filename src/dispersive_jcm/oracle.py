@@ -43,6 +43,7 @@ __all__ = [
     "fock_truncation",
     "lowering_operator",
     "displacement_operator",
+    "ladder_exponential",
     "coherent_state_vector",
     "initial_state",
     "field_liouvillian",
@@ -210,9 +211,36 @@ def lowering_operator(n_levels: int) -> np.ndarray:
 
 
 def displacement_operator(alpha: complex, n_levels: int) -> np.ndarray:
-    """D(alpha) = exp(alpha a_dag - conj(alpha) a) on the truncated space."""
-    a = lowering_operator(n_levels)
-    return scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
+    """D(alpha) = exp(alpha a_dag - conj(alpha) a) on the truncated space.
+
+    The truncated generator is -i|alpha| W X W^-1, with X = a + a_dag the
+    real symmetric tridiagonal Hermite Jacobi matrix and W =
+    diag(exp(i n (arg alpha + pi/2))), so the exponential comes from the
+    eigenbasis of X (Golub & Welsch, Math. Comp. 23, 221, 1969).  At the
+    truncations the Lie checks use, neither the tridiagonal eigensolver nor
+    the one n x n product starts the BLAS thread pool; a dense matrix
+    exponential does.
+    """
+    lam, vecs = scipy.linalg.eigh_tridiagonal(
+        np.zeros(n_levels), np.sqrt(np.arange(1.0, n_levels))
+    )
+    phase = np.exp(1j * np.arange(n_levels) * (np.angle(alpha) + 0.5 * np.pi))
+    rotated = (vecs * np.exp(-1j * abs(alpha) * lam)) @ vecs.T
+    return phase[:, None] * rotated * phase.conj()
+
+
+def ladder_exponential(c: complex, n_levels: int) -> np.ndarray:
+    """exp(c a) on the truncated space; its transpose is exp(c a_dag).
+
+    a is nilpotent there, so the series is finite: entry (m, n) is
+    c^(n-m) sqrt(n!/m!)/(n-m)! for n >= m and zero below the diagonal
+    (Cahill & Glauber, Phys. Rev. 177, 1857, 1969).  Each row is one
+    cumulative product of the steps c sqrt(n)/(n-m) along its columns.
+    """
+    ns = np.arange(n_levels)
+    steps = ns - ns[:, None]
+    factors = np.where(steps > 0, c * np.sqrt(ns) / np.maximum(steps, 1), 1.0)
+    return np.triu(np.cumprod(factors, axis=1))
 
 
 def coherent_state_vector(alpha, n_levels: int) -> np.ndarray:

@@ -217,6 +217,14 @@ def test_observables_are_the_trace_columns_and_views_read_them(monkeypatch):
     assert len(calls) == 1
 
 
+def test_re_phi_column_is_an_owned_contiguous_float_array():
+    ts = np.linspace(0.0, 12.0, 97)
+    col = analytic.observables(P_SUB, ts)["re_phi"]
+    assert col.dtype == np.float64 and col.flags.c_contiguous and col.flags.owndata
+    assert col.base is None  # not a view that keeps the complex phi alive
+    assert np.array_equal(col, analytic._phi(P_SUB, ts).real)
+
+
 @settings(max_examples=200, deadline=None)
 @given(params_st, times_st)
 def test_global_eigenvalues_sum_to_one_and_give_entropy(params, t):

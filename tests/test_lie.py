@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import linalg, sparse
 
-from dispersive_jcm import lie, oracle
+from dispersive_jcm import acceptance, lie, oracle
 from dispersive_jcm.lie import SuperOpRep
 from dispersive_jcm.model import ModelParams, TimeGrid
 
@@ -150,6 +150,18 @@ def test_diagonal_disentangling_identity():
 
 def test_offdiagonal_disentangling_identity():
     assert lie.check_offdiagonal_disentangling(P111, 0.8, 24) < 1e-8
+
+
+def test_c6_calls_no_dense_matrix_exponential(monkeypatch):
+    # D(beta) comes from the tridiagonal eigenbasis and exp(c a) from its
+    # finite series, so the battery never starts the BLAS thread pool
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.expm called by criterion 6")
+
+    monkeypatch.setattr(linalg, "expm", refuse)
+    rows = acceptance.criterion_6()
+    assert len(rows) == 7
+    assert all(row.passed and not row.skipped for row in rows), rows
 
 
 def test_disentangling_guards_against_edge_leakage():

@@ -88,6 +88,41 @@ def test_coherent_state_vector_at_zero_is_vacuum():
     assert v[0] == 1.0 and np.all(v[1:] == 0.0)
 
 
+def _lowering(n):
+    return np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
+
+
+def _dense_displacement(alpha, n):
+    """Brute force: the dense exponential of the truncated generator."""
+    a = _lowering(n)
+    return scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+@pytest.mark.parametrize("n", [2, 8, 24, 40])
+@pytest.mark.parametrize("modulus", [0.0, 0.5, 1.0, 2.0, 3.0])
+def test_displacement_operator_is_the_truncated_exponential(modulus, n):
+    for angle in (0.0, 0.9, 2.3, -1.6):
+        alpha = modulus * np.exp(1j * angle)
+        disp = oracle.displacement_operator(alpha, n)
+        assert np.max(np.abs(disp - _dense_displacement(alpha, n))) <= 1e-13, alpha
+        assert np.max(np.abs(disp @ disp.conj().T - np.eye(n))) <= 1e-13, alpha
+
+
+def test_displacement_operator_on_one_level_is_one():
+    assert np.array_equal(oracle.displacement_operator(1.3 - 0.4j, 1), [[1.0]])
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, 1.0 + 1.0j, -2.5j, 2.5, 1.7 * np.exp(2.0j), -0.8 + 0.1j])
+def test_ladder_exponential_is_the_finite_series(c):
+    for n in (1, 2, 8, 40):
+        a = _lowering(n)
+        want = scipy.linalg.expm(c * a)
+        got = oracle.ladder_exponential(c, n)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
+        want_dag = scipy.linalg.expm(c * a.conj().T)
+        assert np.max(np.abs(got.T - want_dag)) <= 1e-14 * np.max(np.abs(want_dag)), n
+
+
 def test_initial_state_is_a_valid_pure_product():
     rho0 = oracle.initial_state(P111, BALANCED)
     assert rho0.n_fock == 27  # truncation index 26 -> 27 levels
@@ -343,10 +378,10 @@ def test_degenerate_direction_is_the_displaced_first_excited_state(f_over_k):
     for i, alpha in enumerate(u):
         # the dense exponential on eight more levels, restricted: on n levels
         # its own top entry is off by 1.2e-11 at N = 15 and |u| = 0.5
-        reference = oracle.displacement_operator(alpha, n + 8)[:n, 1]
+        reference = _dense_displacement(alpha, n + 8)[:n, 1]
         assert np.max(np.abs(f2[i] - reference)) <= 1e-12, alpha
         if f_over_k >= 1.0:
-            reference = oracle.displacement_operator(alpha, n)[:, 1]
+            reference = _dense_displacement(alpha, n)[:, 1]
             assert np.max(np.abs(f2[i] - reference)) <= 1e-12, alpha
         assert abs(np.vdot(f1[i], f2[i])) <= 1e-14, alpha
         assert abs(np.linalg.norm(f2[i]) - 1.0) <= 1e-14, alpha
@@ -462,7 +497,7 @@ def _dense_columns(mat, beta_e_prime, beta_g_prime):
     f2 = oracle.coherent_state_vector(beta_g_prime, n)
     overlap = np.vdot(f1, f2)
     if abs(overlap) > 1.0 - 1e-14:
-        f2 = oracle.displacement_operator(beta_e_prime, n)[:, 1]
+        f2 = _dense_displacement(beta_e_prime, n)[:, 1]
     else:
         f2 = (f2 - overlap * f1) / np.linalg.norm(f2 - overlap * f1)
     proj = np.kron(np.eye(2), np.stack([f1, f2], axis=1))
