@@ -138,10 +138,12 @@ def _amplitudes(params: ModelParams, t):
     w, k, F = params.omega, params.kappa, complex(params.drive)
     c = k + 1j * w
     cb = k - 1j * w
-    be = F / (w - 1j * k) * (np.exp(-c * t) - 1.0)
-    bg = -F / (w + 1j * k) * (np.exp(-cb * t) - 1.0)
-    bep = be - 1j * (F / k) * np.exp(-c * t)
-    bgp = bg - 1j * (F / k) * np.exp(-cb * t)
+    decay_e = np.exp(-c * t)
+    decay_g = np.exp(-cb * t)
+    be = F / (w - 1j * k) * (decay_e - 1.0)
+    bg = -F / (w + 1j * k) * (decay_g - 1.0)
+    bep = be - 1j * (F / k) * decay_e
+    bgp = bg - 1j * (F / k) * decay_g
     return be, bg, bep, bgp
 
 

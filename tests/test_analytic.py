@@ -98,6 +98,31 @@ def test_distance_closed_form_matches_amplitude_separation(params, t):
     assert np.isclose(d2, pair.dist_sq, rtol=1e-10, atol=1e-12)
 
 
+def _direct_amplitudes(params, t):
+    """The four conditioned amplitudes with each exponential written out where used."""
+    w, k, F = params.omega, params.kappa, complex(params.drive)
+    c = k + 1j * w
+    cb = k - 1j * w
+    be = F / (w - 1j * k) * (np.exp(-c * t) - 1.0)
+    bg = -F / (w + 1j * k) * (np.exp(-cb * t) - 1.0)
+    bep = be - 1j * (F / k) * np.exp(-c * t)
+    bgp = bg - 1j * (F / k) * np.exp(-cb * t)
+    return be, bg, bep, bgp
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).reshape(-1).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params_st, times_st, st.integers(1, 3000))
+def test_amplitudes_equal_the_direct_expression_bit_for_bit(params, t_max, points):
+    # each exponential is evaluated once and shared; the bits must not move
+    for t in (t_max, np.linspace(0.0, t_max, points)):
+        for got, want in zip(analytic._amplitudes(params, t), _direct_amplitudes(params, t)):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
 def test_distance_vanishes_without_coupling():
     # omega = 0: both conditioned amplitudes coincide for all t
     p = ModelParams(0.0, 0.7, 0.4 + 0.3j)

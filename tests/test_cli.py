@@ -9,7 +9,10 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -161,6 +164,54 @@ def test_figures_mode_writes_five_deterministic_files(tmp_path):
         header, rows = _read_csv(d1 / name)
         assert header == list(cli.TRACE_COLUMNS)
         assert len(rows) == 7
+
+
+def test_figures_builds_one_table_at_a_time(tmp_path, monkeypatch):
+    table, lock = cli._trace_table, threading.Lock()
+    active = peak = built = 0
+
+    def counted(*args):
+        nonlocal active, peak, built
+        with lock:
+            active += 1
+            peak = max(peak, active)
+        try:
+            time.sleep(0.01)  # long enough for a concurrent build to overlap
+            return table(*args)
+        finally:
+            with lock:
+                active -= 1
+                built += 1
+
+    monkeypatch.setattr(cli, "_trace_table", counted)
+    assert cli.main(["--mode", "figures", "--points", "50", "--out", str(tmp_path)]) == 0
+    assert (peak, built) == (1, len(cli.FIGURE_SETS))
+
+
+@pytest.mark.parametrize("failure", [ValueError, KeyboardInterrupt])
+def test_a_failing_figure_table_replaces_no_file(tmp_path, capsys, monkeypatch, failure):
+    args = ["--mode", "figures", "--points", "7", "--out", str(tmp_path)]
+    assert cli.main(args + ["--t-max-pi", "0.5"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    table, calls = cli._trace_table, []
+
+    def third_fails(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise failure("stubbed failure")
+        return table(*args)
+
+    monkeypatch.setattr(cli, "_trace_table", third_fails)
+    if failure is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(args)
+    else:
+        assert cli.main(args) == 2
+        name = cli.FIGURE_SETS[2][0]
+        assert capsys.readouterr().err.splitlines() == [f"error: {name}: stubbed failure"]
+    assert len(calls) == 3  # the run stops at the failing table
+    # every file keeps the earlier run's bytes and no .tmp is left
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def _reference_csv(header, table):
@@ -441,6 +492,21 @@ def test_out_of_range_ratios_exit_2_with_one_line(tmp_path, capsys, mode, k_over
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
     assert not out.with_name(out.name + ".tmp").exists()
+
+
+@pytest.mark.parametrize("mode", ["trace", "figures"])
+def test_an_overflowing_horizon_exits_2_without_warnings(tmp_path, capsys, mode):
+    # omega t_max = 1e308 pi overflows to inf; the figures tables are built
+    # on a worker thread, which must keep main's np.errstate
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["--mode", mode, "--points", "3", "--t-max-pi", "1e308", "--out", str(out)])
+    assert rc == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "non-finite values in omega_t_over_pi" in err[0]
+    assert not out.is_file() and not list(tmp_path.rglob("*.csv*"))
 
 
 @pytest.mark.parametrize("mode", ["trace", "figures"])
