@@ -16,8 +16,9 @@ row.  The expensive shared ingredient, the five integrated reference
 trajectories, is built once by :func:`reference_traces` and reused by
 criteria 1 and 5.  :func:`dense_state` expands the closed-form blocks of
 :func:`.analytic.matrix_elements` and :func:`.analytic.stationary_state`
-into the dense matrices criteria 2 and 5 compare against; it lives here,
-so the integrator in :mod:`.oracle` never reads a closed form.  Every
+into the dense matrices criteria 2 and 5 compare against, laid out by
+:func:`.oracle.joint_matrix`; it lives here, so the integrator in
+:mod:`.oracle` never reads a closed form.  Every
 closed form is read through :mod:`.analytic`'s public functions.
 """
 
@@ -61,6 +62,10 @@ PARAMETER_SETS = ((0.2, 1.0), (1.0, 1.0), (5.0, 1.0), (0.2, 0.5), (0.2, 2.0))
 #: Observables compared point by point between closed form and integrator.
 COMPARED_OBSERVABLES = ("zeta_global", "zeta_atom", "zeta_field", "corr_c", "concurrence")
 
+# grid of the reference trajectories, and the rows of each figure table c8 compares
+_TRACE_POINTS, _TRACE_T_MAX = 200, 4.0 * math.pi
+_FIGURE_POINTS = 2001
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -90,11 +95,9 @@ def _skip(name: str, tolerance: float) -> CheckResult:
 
 
 def reference_traces(
-    points: int = 200,
-    t_max: float = 4.0 * math.pi,
     config: oracle.IntegratorConfig | None = None,
 ) -> tuple[list[ReferenceTrace], float]:
-    """Integrate all five verification parameter sets once.
+    """Integrate all five verification parameter sets once on the reference grid.
 
     Returns the traces and the wall-clock seconds the batch took.
     """
@@ -102,7 +105,7 @@ def reference_traces(
     traces = []
     for k_ow, f_ok in PARAMETER_SETS:
         params = make_params(k_ow, f_ok)
-        times = np.linspace(0.0, t_max, points)
+        times = np.linspace(0.0, _TRACE_T_MAX, _TRACE_POINTS)
         pair = analytic.coherent_pair(params, times)
         traces.append(
             ReferenceTrace(
@@ -125,20 +128,13 @@ def dense_state(blocks: dict, n_fock: int) -> np.ndarray:
     :func:`.analytic.matrix_elements` or :func:`.analytic.stationary_state`;
     the ge block is the adjoint of the eg block.
     """
-    n = n_fock
-    rho = np.zeros((2 * n, 2 * n), complex)
 
     def block(elem):
-        ket = oracle.coherent_state_vector(elem.ket_amplitude, n)
-        bra = oracle.coherent_state_vector(elem.bra_amplitude, n)
+        ket = oracle.coherent_state_vector(elem.ket_amplitude, n_fock)
+        bra = oracle.coherent_state_vector(elem.bra_amplitude, n_fock)
         return elem.weight * np.outer(ket, bra.conj())
 
-    rho[:n, :n] = block(blocks["rho_ee"])
-    rho[n:, n:] = block(blocks["rho_gg"])
-    eg = block(blocks["rho_eg"])
-    rho[:n, n:] = eg
-    rho[n:, :n] = eg.conj().T
-    return rho
+    return oracle.joint_matrix(*(block(blocks[key]) for key in ("rho_ee", "rho_gg", "rho_eg")))
 
 
 # ---------------------------------------------------------------- criteria
@@ -269,10 +265,10 @@ def criterion_4(
     params = make_params(0.2, 1.0)
     t_max = 4.0 * math.pi
     instants = analytic.critical_instants(params, t_max)
-    roots = [c for c in instants if c.kind == "disentangle"]
+    roots = np.array([c.t_c for c in instants if c.kind == "disentangle"])
     extrema = [c for c in instants if c.kind == "extremum"]
 
-    worst_zf = max(float(analytic.zeta_field(params, c.t_c)) for c in roots)
+    worst_zf = float(np.max(analytic.observables(params, roots)["zeta_field"]))
     rows = [
         CheckResult(
             "c4_field_entropy_at_roots",
@@ -308,17 +304,13 @@ def criterion_4(
     if not oracle_enabled:
         rows.append(_skip("c4_oracle_concurrence_at_roots", 1e-4))
         return rows
-    amps = AtomicAmplitudes.symmetric()
-    rho0 = oracle.initial_state(params, amps)
-    worst_c = 0.0
-    for t, mat in oracle.evolve_trajectory(params, rho0, [c.t_c for c in roots], config):
-        pair = analytic.coherent_pair(params, t)
-        emb = oracle.embed_two_qubit(mat, pair.beta_e_prime, pair.beta_g_prime)
-        worst_c = max(worst_c, oracle.wootters_concurrence(emb.matrix))
+    pair = analytic.coherent_pair(params, roots)
+    columns = oracle.series(params, roots, pair.beta_e_prime, pair.beta_g_prime, config)
+    worst_c = float(np.max(columns["concurrence"]))
     rows.append(
         CheckResult(
             "c4_oracle_concurrence_at_roots", worst_c <= 1e-4, worst_c, 1e-4,
-            detail=f"N={rho0.n_fock - 1}",
+            detail=f"N={oracle.fock_truncation(params)}",
         )
     )
     return rows
@@ -425,12 +417,10 @@ def criterion_7() -> list[CheckResult]:
                     detail="phi = -i*omega*t and zero separation, exactly")
     ]
 
-    no_coupling = ModelParams(0.0, 0.7, 0.4 + 0.3j)
+    no_coupling = analytic.observables(ModelParams(0.0, 0.7, 0.4 + 0.3j), ts)
     dev_w = max(
-        float(np.max(np.abs(analytic.zeta_global(no_coupling, ts)))),
-        float(np.max(np.abs(analytic.zeta_atom(no_coupling, ts)))),
-        float(np.max(np.abs(analytic.zeta_field(no_coupling, ts)))),
-        float(np.max(np.abs(analytic.concurrence(no_coupling, ts)))),
+        float(np.max(np.abs(no_coupling[key])))
+        for key in ("zeta_global", "zeta_atom", "zeta_field", "concurrence")
     )
     rows.append(
         CheckResult("c7_no_coupling_no_decoherence", dev_w <= 0.0, dev_w, 0.0,
@@ -453,7 +443,7 @@ def criterion_7() -> list[CheckResult]:
     return rows
 
 
-def criterion_8(points: int = 2001) -> list[CheckResult]:
+def criterion_8() -> list[CheckResult]:
     """Two identical figure-generation runs produce byte-identical CSVs."""
     from . import cli  # deferred: cli imports this module at load time
 
@@ -464,7 +454,7 @@ def criterion_8(points: int = 2001) -> list[CheckResult]:
             d.mkdir()
             codes.append(
                 cli.main(
-                    ["--mode", "figures", "--out", str(d), "--points", str(points)]
+                    ["--mode", "figures", "--out", str(d), "--points", str(_FIGURE_POINTS)]
                 )
             )
         names = [sorted(p.name for p in d.iterdir()) for d in dirs]
@@ -476,7 +466,7 @@ def criterion_8(points: int = 2001) -> list[CheckResult]:
                 a = (dirs[0] / name).read_bytes()
                 b = (dirs[1] / name).read_bytes()
                 mismatches += a != b
-        detail = f"{len(names[0])} files, {points} rows each"
+        detail = f"{len(names[0])} files, {_FIGURE_POINTS} rows each"
     return [
         CheckResult(
             "c8_deterministic_figures", mismatches == 0, float(mismatches), 0.0, detail=detail
@@ -485,13 +475,11 @@ def criterion_8(points: int = 2001) -> list[CheckResult]:
 
 
 def run_all(
-    oracle_enabled: bool = True,
-    trace_points: int = 200,
-    config: oracle.IntegratorConfig | None = None,
+    oracle_enabled: bool = True, config: oracle.IntegratorConfig | None = None
 ) -> list[CheckResult]:
     """Run every acceptance criterion and return all rows in order."""
     if oracle_enabled:
-        traces, elapsed = reference_traces(trace_points, config=config)
+        traces, elapsed = reference_traces(config)
     else:
         traces, elapsed = [], 0.0
     results = []

@@ -148,8 +148,7 @@ def _amplitudes(params: ModelParams, t):
 
 
 def _dist_sq(params: ModelParams, t):
-    _, _, u, v = _amplitudes(params, t)
-    return np.abs(u - v) ** 2
+    return coherent_pair(params, t).dist_sq
 
 
 def _theta(params: ModelParams, t):

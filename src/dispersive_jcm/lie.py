@@ -14,13 +14,11 @@ The closed forms come from :mod:`.analytic`'s public records
 :func:`.analytic.coherent_pair` and :func:`.analytic.phase_parts`.
 
 Operators on the truncated Fock space are vectorized column-wise
-(stacking columns), so a map X -> A X B becomes kron(B^T, A) acting on
-vec(X).  Left multiplication by a lands in the second Kronecker factor,
-right multiplication in the first.  The maps are ``scipy.sparse``
-matrices, and the block Liouvillians come from
-:func:`.oracle.field_liouvillian`.  Truncation breaks the algebra at the
-Fock edge; every check therefore compares on an interior subspace
-(indices <= dim - 1 - margin).
+(stacking columns).  The four ladder maps come from
+:func:`.oracle.ladder_maps` and the block Liouvillians from
+:func:`.oracle.field_liouvillian`, all ``scipy.sparse`` matrices.
+Truncation breaks the algebra at the Fock edge; every check therefore
+compares on an interior subspace (indices <= dim - 1 - margin).
 """
 
 from __future__ import annotations
@@ -83,14 +81,7 @@ class OdeResidualReport:
 
 def superop_rep(dim: int) -> SuperOpRep:
     """Build the vectorized multiplication maps at Fock truncation *dim*."""
-    a = scipy.sparse.csr_matrix(oracle.lowering_operator(dim))
-    ad = a.conj().T
-    eye = scipy.sparse.identity(dim, dtype=complex, format="csr")
-    # column-stacking: vec(A X B) = kron(B^T, A) vec(X)
-    a_left = scipy.sparse.kron(eye, a, format="csr")
-    a_left_dag = scipy.sparse.kron(eye, ad, format="csr")
-    a_right = scipy.sparse.kron(a.T, eye, format="csr")
-    a_right_dag = scipy.sparse.kron(ad.T, eye, format="csr")
+    a_left, a_left_dag, a_right, a_right_dag = oracle.ladder_maps(dim)
     return SuperOpRep(
         dim=dim,
         a_left=a_left,

@@ -45,6 +45,8 @@ __all__ = [
     "displacement_operator",
     "ladder_exponential",
     "coherent_state_vector",
+    "ladder_maps",
+    "joint_matrix",
     "initial_state",
     "field_liouvillian",
     "build_generator",
@@ -258,6 +260,39 @@ def coherent_state_vector(alpha, n_levels: int) -> np.ndarray:
     return np.where(vacuum, (ns == 0).astype(complex), vec)
 
 
+def ladder_maps(n_levels: int):
+    """The maps X -> a X, a_dag X, X a, X a_dag on column-stacked n_levels-square X.
+
+    vec(A X B) = kron(B^T, A) vec(X), so left multiplication lands in the
+    second Kronecker factor and right multiplication in the first.  Returns
+    (a_left, a_left_dag, a_right, a_right_dag) as sparse CSR matrices.
+    """
+    a = scipy.sparse.csr_matrix(lowering_operator(n_levels))
+    a_dag = a.conj().T
+    eye = scipy.sparse.identity(n_levels, dtype=complex, format="csr")
+    return tuple(
+        scipy.sparse.kron(right, left, format="csr")
+        for right, left in ((eye, a), (eye, a_dag), (a.T, eye), (a_dag.T, eye))
+    )
+
+
+def joint_matrix(ee: np.ndarray, gg: np.ndarray, eg: np.ndarray) -> np.ndarray:
+    """Dense joint matrix of its ee, gg and eg field blocks; the ge block is eg^dag."""
+    n = ee.shape[-1]
+    rho = np.empty((2 * n, 2 * n), complex)
+    rho[:n, :n] = ee
+    rho[n:, n:] = gg
+    rho[:n, n:] = eg
+    rho[n:, :n] = eg.conj().T
+    return rho
+
+
+def _blocks(data: np.ndarray) -> np.ndarray:
+    """View of joint matrices as [..., x, i, y, j]: entry (i, j) of field block rho_xy."""
+    n = data.shape[-1] // 2
+    return data.reshape(data.shape[:-2] + (2, n, 2, n))
+
+
 def initial_state(
     params: ModelParams, amps: AtomicAmplitudes, n_fock: int | None = None
 ) -> FockDensityMatrix:
@@ -268,10 +303,8 @@ def initial_state(
         _check_affordable(n_fock)
         n = n_fock
     field_vec = coherent_state_vector(stationary_amplitude(params), n)
-    psi = np.concatenate([amps.c_e * field_vec, amps.c_g * field_vec])
-    # through the packed form, so the ge block is eg^dag exactly, as in every
-    # state the integrator emits
-    data = _unpack(_pack(np.outer(psi, psi.conj()), n), n)
+    kets = {"e": amps.c_e * field_vec, "g": amps.c_g * field_vec}
+    data = joint_matrix(*(np.outer(kets[x], kets[y].conj()) for x, y in ("ee", "gg", "eg")))
     return FockDensityMatrix(n_fock=n, data=data, time=0.0)
 
 
@@ -284,26 +317,25 @@ def field_liouvillian(params: ModelParams, n_fock: int, left: str, right: str):
     ``"g"``.  Neither H nor the jump flips the atom, so each field block obeys
     d rho_xy/dt = -i(H_x rho_xy - rho_xy H_y) + k(2 a rho_xy a_dag - ...)
     with H_e = w(a_dag a + 1) + V, H_g = -w a_dag a + V and
-    V = F a_dag + conj(F) a.  Operators are column-stacked,
-    vec(A X B) = kron(B^T, A) vec(X), so left multiplication lands in the
-    second Kronecker factor and right multiplication in the first.
+    V = F a_dag + conj(F) a.  In the maps of :func:`ladder_maps` this is
+    -i(H_x,left - H_y,right) + k(2J - M - P), with J: X -> a X a_dag and the
+    number maps M: X -> a_dag a X and P: X -> X a_dag a.
     """
-    w, k, F = params.omega, params.kappa, complex(params.drive)
-    eye = scipy.sparse.identity(n_fock, dtype=complex, format="csr")
-    a = scipy.sparse.csr_matrix(lowering_operator(n_fock))
-    a_dag = a.conj().T
-    num = a_dag @ a
-    drive = F * a_dag + np.conj(F) * a
-    hamiltonians = {"e": w * (num + eye) + drive, "g": -w * num + drive}
-    if left not in hamiltonians or right not in hamiltonians:
+    if not {left, right} <= {"e", "g"}:
         raise ValueError(f"field block levels must be 'e' or 'g', got {left!r}, {right!r}")
-    h_left, h_right = hamiltonians[left], hamiltonians[right]
-    damping = k * (
-        2.0 * scipy.sparse.kron(a.conj(), a)
-        - scipy.sparse.kron(eye, num)
-        - scipy.sparse.kron(num.T, eye)
-    )
-    return -1j * (scipy.sparse.kron(eye, h_left) - scipy.sparse.kron(h_right.T, eye)) + damping
+    w, k, F = params.omega, params.kappa, complex(params.drive)
+    a_left, a_left_dag, a_right, a_right_dag = ladder_maps(n_fock)
+    eye = scipy.sparse.identity(n_fock * n_fock, dtype=complex, format="csr")
+    number_left, number_right = a_left_dag @ a_left, a_right @ a_right_dag
+
+    def hamiltonian(level, number, lower, lower_dag):
+        drive = F * lower_dag + np.conj(F) * lower
+        return (w * (number + eye) if level == "e" else -w * number) + drive
+
+    h_left = hamiltonian(left, number_left, a_left, a_left_dag)
+    h_right = hamiltonian(right, number_right, a_right, a_right_dag)
+    damping = k * (2.0 * (a_left @ a_right_dag) - number_left - number_right)
+    return -1j * (h_left - h_right) + damping
 
 
 def build_generator(params: ModelParams, n_fock: int):
@@ -337,14 +369,7 @@ def _pack(rho: np.ndarray, n_fock: int) -> np.ndarray:
 
 def _unpack(y: np.ndarray, n_fock: int) -> np.ndarray:
     """Dense joint matrix of a packed vector, with the ge block rebuilt as eg^dag."""
-    n = n_fock
-    ee, gg, eg = y.reshape(3, n, n).transpose(0, 2, 1)
-    rho = np.empty((2 * n, 2 * n), complex)
-    rho[:n, :n] = ee
-    rho[n:, n:] = gg
-    rho[:n, n:] = eg
-    rho[n:, :n] = eg.conj().T
-    return rho
+    return joint_matrix(*y.reshape(3, n_fock, n_fock).transpose(0, 2, 1))
 
 
 def _edge_population(rho: np.ndarray, n_fock: int) -> float:
@@ -359,7 +384,8 @@ def evolve_trajectory(
 ):
     """Yield (t, dense matrix) at each requested time along one integration.
 
-    ``times`` must be non-decreasing and start at or after ``rho0.time``.
+    ``times`` must be finite, non-decreasing and start at or after
+    ``rho0.time``.
     The packed field blocks of :func:`build_generator` are integrated (the
     ge block of ``rho0`` is not read: a density matrix has ge = eg^dag);
     matrices are interpolated from the integrator's dense output and
@@ -375,6 +401,8 @@ def evolve_trajectory(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         return
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"requested time {times[~np.isfinite(times)][0]} is not finite")
     if times[0] < rho0.time:
         raise ValueError("requested times precede the initial state")
     if np.any(np.diff(times) < 0):
@@ -466,16 +494,12 @@ def _matrices(rho) -> np.ndarray:
 
 def partial_trace_field(rho: FockDensityMatrix | np.ndarray) -> np.ndarray:
     """Trace out the field: 2x2 atomic matrix (index 0 = excited), per stacked state."""
-    data = _matrices(rho)
-    n = data.shape[-1] // 2
-    return np.einsum("...ikjk->...ij", data.reshape(data.shape[:-2] + (2, n, 2, n)))
+    return np.einsum("...ikjk->...ij", _blocks(_matrices(rho)))
 
 
 def partial_trace_atom(rho: FockDensityMatrix | np.ndarray) -> np.ndarray:
     """Trace out the atom: (N+1)x(N+1) field matrix, per stacked state."""
-    data = _matrices(rho)
-    n = data.shape[-1] // 2
-    return np.einsum("...kikj->...ij", data.reshape(data.shape[:-2] + (2, n, 2, n)))
+    return np.einsum("...kikj->...ij", _blocks(_matrices(rho)))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -531,7 +555,7 @@ def embed_two_qubit(
     f2 = f2 / np.where(degenerate[:, None], 1.0, norm)
     f2[degenerate] = _displaced_first_excited(f1[degenerate], u[degenerate])
     basis = np.stack([f1, f2], axis=-1)  # m x n x 2
-    blocks = stack.reshape(m, 2, n, 2, n).transpose(0, 1, 3, 2, 4)  # [m, x, y] = rho_xy
+    blocks = _blocks(stack).transpose(0, 1, 3, 2, 4)  # [m, x, y] = rho_xy
     reduced = (
         basis.conj().transpose(0, 2, 1)[:, None, None] @ blocks @ basis[:, None, None]
     )  # [m, x, y, a, b]
@@ -605,10 +629,8 @@ def _stack_columns(stack: np.ndarray, beta_e_prime, beta_g_prime) -> dict:
     obs = observables(stack)
     atom = partial_trace_field(stack)
     field = partial_trace_atom(stack)
-    n = field.shape[-1]
-    blocks = stack.reshape(-1, 2, n, 2, n)
     # tr(rho_xy rho_F) for each pair of atomic levels
-    overlap = np.einsum("mxiyj,mji->mxy", blocks, field)
+    overlap = np.einsum("mxiyj,mji->mxy", _blocks(stack), field)
     atom_purity = np.einsum("mij,mji->m", atom, atom).real
     field_purity = np.einsum("mij,mji->m", field, field).real
     # ||rho - rho_A x rho_F||^2 = tr rho^2 - 2 tr[rho (rho_A x rho_F)] + tr rho_A^2 tr rho_F^2,

@@ -7,6 +7,7 @@ below turn each group of checks into one pass/fail line under
 actually measures the quantities it claims to measure.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -130,3 +131,21 @@ def test_gate_detects_a_corrupted_amplitude_separation(monkeypatch):
     rows = acceptance.criterion_4(oracle_enabled=False)
     entropy_rows = [r for r in rows if "entropy_at_roots" in r.name]
     assert entropy_rows and not entropy_rows[0].passed
+
+
+def test_gate_detects_misplaced_disentanglement_instants(monkeypatch):
+    # a shift of 1e-2 puts the oracle concurrence at about 2.4e-3 and the
+    # field entropy at about 2.9e-5; the extremum labels do not move
+    original = analytic.critical_instants
+
+    def shifted(params, t_max, grid_step=None):
+        return [
+            dataclasses.replace(c, t_c=c.t_c + 1e-2) if c.kind == "disentangle" else c
+            for c in original(params, t_max, grid_step)
+        ]
+
+    monkeypatch.setattr(analytic, "critical_instants", shifted)
+    rows = {r.name: r for r in acceptance.criterion_4()}
+    assert not rows["c4_oracle_concurrence_at_roots"].passed
+    assert not rows["c4_field_entropy_at_roots"].passed
+    assert rows["c4_extremum_classification"].passed

@@ -117,10 +117,14 @@ def _bits(x):
 @settings(max_examples=100, deadline=None)
 @given(params_st, times_st, st.integers(1, 3000))
 def test_amplitudes_equal_the_direct_expression_bit_for_bit(params, t_max, points):
-    # each exponential is evaluated once and shared; the bits must not move
+    # each exponential is evaluated once and shared; the bits must not move,
+    # nor those of the separation kernel, which reads the coherent_pair record
     for t in (t_max, np.linspace(0.0, t_max, points)):
-        for got, want in zip(analytic._amplitudes(params, t), _direct_amplitudes(params, t)):
+        direct = _direct_amplitudes(params, t)
+        for got, want in zip(analytic._amplitudes(params, t), direct):
             np.testing.assert_array_equal(_bits(got), _bits(want))
+        separation = np.abs(direct[2] - direct[3]) ** 2
+        np.testing.assert_array_equal(_bits(analytic._dist_sq(params, t)), _bits(separation))
 
 
 def test_distance_vanishes_without_coupling():

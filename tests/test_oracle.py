@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.integrate
 import scipy.linalg
 from scipy.integrate import DOP853
 from scipy.special import pdtrc
@@ -270,6 +271,40 @@ def test_block_generator_matches_the_dense_master_equation():
     expected = _dense_master_rhs(params, rho)
     got = oracle._unpack(gen(packed), n)
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def test_joint_matrix_places_each_block_and_the_adjoint_ge_block():
+    rng = np.random.default_rng(11)
+    ee, gg, eg = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    rho = oracle.joint_matrix(ee, gg, eg)
+    blocks = oracle._blocks(rho)
+    assert np.shares_memory(blocks, rho)
+    for (x, y), block in {(0, 0): ee, (1, 1): gg, (0, 1): eg, (1, 0): eg.conj().T}.items():
+        assert np.array_equal(blocks[x, :, y, :], block)
+
+
+def test_initial_state_is_the_product_outer_product():
+    amps = AtomicAmplitudes(0.6, 0.8j)
+    field = oracle.coherent_state_vector(0.3 - 0.4j, 7)
+    psi = np.concatenate([amps.c_e * field, amps.c_g * field])
+    rho0 = oracle.initial_state(ModelParams(1.0, 1.0, 0.4 + 0.3j), amps, n_fock=7)
+    assert np.max(np.abs(rho0.data - np.outer(psi, psi.conj()))) < 1e-16
+    assert np.array_equal(rho0.data[7:, :7], rho0.data[:7, 7:].conj().T)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_time_is_refused_before_integrating(monkeypatch, bad):
+    # without the check DOP853 rejects steps forever at nan and runs on at inf
+    def refuse(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    rho0 = oracle.initial_state(P111, BALANCED, n_fock=6)
+    monkeypatch.setattr(scipy.integrate, "DOP853", refuse)
+    monkeypatch.setattr(oracle, "build_generator", refuse)
+    with pytest.raises(ValueError, match=f"time {bad} is not finite"):
+        list(oracle.evolve_trajectory(P111, rho0, [0.5, bad]))
+    with pytest.raises(ValueError, match=f"time {bad} is not finite"):
+        oracle.evolve(P111, rho0, bad)
 
 
 def test_emitted_matrices_have_ge_equal_to_eg_adjoint():
@@ -551,6 +586,20 @@ def test_oracle_imports_nothing_from_analytic():
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert imported and not any("analytic" in name.split(".") for name in imported)
+
+
+def test_only_ladder_maps_builds_a_kronecker_product():
+    callers = []
+    for path in Path(oracle.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                callers += [
+                    f"{path.stem}.{func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Attribute) and node.attr == "kron"
+                ]
+    assert callers == ["oracle.ladder_maps"]
 
 
 @pytest.mark.parametrize("module", ["cli", "acceptance", "lie"])
