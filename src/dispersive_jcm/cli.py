@@ -205,11 +205,13 @@ def get_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--rel-tol", type=float, default=1e-9,
-        help="oracle integrator relative tolerance (default: 1e-9)",
+        help="relative tolerance of the oracle's Taylor step-size rule, "
+        "in [2.2e-14, 1) (default: 1e-9)",
     )
     parser.add_argument(
         "--abs-tol", type=float, default=1e-11,
-        help="oracle integrator absolute tolerance (default: 1e-11)",
+        help="absolute tolerance of the oracle's Taylor step-size rule, "
+        "positive and finite (default: 1e-11)",
     )
 
     pre = _Parser(prog=parser.prog, add_help=False)

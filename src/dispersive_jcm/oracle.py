@@ -2,17 +2,17 @@
 
 Everything here is deliberately independent of the closed forms in
 :mod:`.analytic`, and this module imports nothing from it: the master
-equation is integrated directly with an adaptive high-order Runge-Kutta
-scheme, and all observables (entropies, correlation, Wootters concurrence)
-are computed from the resulting density matrix.  Agreement with the
-analytic module is the package's central acceptance criterion.
+equation is propagated directly by a truncated Taylor series of its
+Liouvillian, and all observables (entropies, correlation, Wootters
+concurrence) are computed from the resulting density matrix.  Agreement
+with the analytic module is the package's central acceptance criterion.
 
 Neither the Hamiltonian nor the cavity jump flips the atom, so the
 excited-excited, ground-ground and excited-ground field blocks of the
 joint state evolve independently (the ground-excited block is the adjoint
-of the excited-ground one).  The integrator therefore carries the three
+of the excited-ground one).  The propagator therefore carries the three
 blocks column-stacked in one packed vector of 3(N+1)^2 entries and
-applies one block-diagonal sparse Liouvillian per right-hand side; dense
+applies one block-diagonal sparse Liouvillian per Taylor term; dense
 joint matrices are rebuilt only at the requested times.  Measurement
 functions accept one joint matrix or a stack of them (a leading batch
 axis), so :func:`series` extracts its columns a stack at a time.
@@ -71,14 +71,20 @@ class OracleError(RuntimeError):
 #: Memory one integration may plan for; larger Fock truncations are refused.
 MEMORY_BUDGET_BYTES = 1 << 30
 
-# Arrays alive during one integration, in packed states of 3(N+1)^2 complex
-# entries: DOP853's 16-stage extended buffer, its 7-row dense-output
-# interpolant and step vectors, and the sparse generator with its build
-# temporaries.  With the dense 2(N+1)-square matrices of one extracted point
-# this is the tracemalloc peak of an integration with extraction, within a
-# few percent, for N from 180 to 250.  The budget then admits N up to 616.
-_PACKED_COPIES = 48
+# The plan for one integration is 3 * _PACKED_COPIES + 4 * _DENSE_COPIES
+# complex entries per (N+1)^2.  Alive at its peak: the sparse generator
+# (about 8 packed states of 3(N+1)^2 entries), the 17 Taylor terms of a
+# step with two evaluation buffers and the step's temporaries (about 21),
+# and the dense 2(N+1)-square matrices of one extracted point; the
+# generator's build temporaries peak lower.  The plan is the tracemalloc
+# peak of an integration with extraction, within a few percent, for N from
+# 190 to 250.  The budget then admits N up to 814.
+_PACKED_COPIES = 23
 _DENSE_COPIES = 8
+
+# Taylor degree of one propagation step in :func:`evolve_trajectory`, which
+# calls the generator this many times per step
+_TAYLOR_DEGREE = 16
 
 # Points :func:`series` extracts together, and the memory its stack may take:
 # below N of about 180 the stack adds up to 4 MiB to the plan above; above it
@@ -123,16 +129,36 @@ class FockDensityMatrix:
         return self
 
 
+#: Smallest relative tolerance: below it the step-size rule asks for less
+#: than the rounding error of the Taylor terms themselves
+_MIN_REL_TOL = 100.0 * math.ulp(1.0)
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive-step tolerances for the dense master-equation integration."""
+    """Step-size tolerances of the master-equation propagation.
+
+    Each step of :func:`evolve_trajectory` is sized so that its last two
+    Taylor terms stay within abs_tol + rel_tol |y| in the RMS over the
+    packed state y.  Both must be finite; abs_tol positive and rel_tol in
+    [100 eps, 1), or ValueError is raised.
+    """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("integrator tolerances must be positive")
+        if not (math.isfinite(self.rel_tol) and math.isfinite(self.abs_tol)):
+            raise ValueError(
+                f"integrator tolerances must be finite, got rel_tol={self.rel_tol}, "
+                f"abs_tol={self.abs_tol}"
+            )
+        if not self.abs_tol > 0:
+            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not _MIN_REL_TOL <= self.rel_tol < 1.0:
+            raise ValueError(
+                f"rel_tol must lie in [{_MIN_REL_TOL:.3g}, 1), got {self.rel_tol}"
+            )
 
 
 @dataclass(frozen=True)
@@ -376,6 +402,24 @@ def _edge_population(rho: np.ndarray, n_fock: int) -> float:
     return max(abs(rho[n_fock - 1, n_fock - 1]), abs(rho[-1, -1]))
 
 
+def _weighted_rms(x: np.ndarray, scale: np.ndarray) -> float:
+    """RMS of |x| / scale, by elementwise ufuncs and a pairwise sum (no BLAS call)."""
+    ratio = np.abs(x)
+    ratio /= scale
+    ratio *= ratio
+    return math.sqrt(float(np.mean(ratio)))
+
+
+def _taylor_sum(terms: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
+    """sum_k terms[k] s^k into ``out`` by Horner's rule."""
+    np.multiply(terms[-1], s, out=out)
+    for term in terms[-2:0:-1]:
+        out += term
+        out *= s
+    out += terms[0]
+    return out
+
+
 def evolve_trajectory(
     params: ModelParams,
     rho0: FockDensityMatrix,
@@ -386,16 +430,22 @@ def evolve_trajectory(
 
     ``times`` must be finite, non-decreasing and start at or after
     ``rho0.time``.
-    The packed field blocks of :func:`build_generator` are integrated (the
-    ge block of ``rho0`` is not read: a density matrix has ge = eg^dag);
-    matrices are interpolated from the integrator's dense output and
-    unpacked, so the cost is one integration regardless of how many points
-    are requested.  Raises :class:`OracleError` when the edge Fock
-    population exceeds 1e-8 at any accepted step or the integrator fails
-    (step-size underflow).  A finished integration logs one debug record:
-    N, accepted steps (one per ``step()`` call), the solver's RHS
-    evaluation count, dense-output interpolants built, and the largest
-    edge population seen.
+    The packed field blocks of :func:`build_generator` are propagated (the
+    ge block of ``rho0`` is not read: a density matrix has ge = eg^dag) by
+    the Taylor series of exp(hL) cut at degree 16 (Moler & Van Loan, SIAM
+    Rev. 45, 3, 2003; Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488,
+    2011).  A step from state y computes the terms L^k y / k!, one
+    generator call each, and takes the largest h for which the last two,
+    times h^15 and h^16, have weighted RMS norm at most 1, with weights
+    abs_tol + rel_tol |y|.  The step size comes from terms already
+    computed, so no step is rejected; each requested time inside the step
+    evaluates the same polynomial by Horner's rule, and the last step ends
+    exactly on the last time.  No BLAS routine is called, so the matrices
+    do not depend on the BLAS thread count.  Raises :class:`OracleError`
+    when the edge Fock population exceeds 1e-8 at the end of any step, the
+    state turns non-finite, or a step no longer advances t.  A finished
+    integration logs one debug record: N, the span, steps, generator calls
+    (16 per step), points evaluated and the largest edge population seen.
     """
     config = config or IntegratorConfig()
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -410,9 +460,6 @@ def evolve_trajectory(
     n = rho0.n_fock
     gen = build_generator(params, n)
 
-    def rhs(t, y):
-        return gen(y.view(complex)).view(float)
-
     ptr = 0
     # emit any points sitting exactly at the start
     while ptr < times.size and times[ptr] <= rho0.time:
@@ -420,46 +467,53 @@ def evolve_trajectory(
         ptr += 1
     if ptr == times.size:
         return
-    solver = scipy.integrate.DOP853(
-        rhs,
-        rho0.time,
-        _pack(rho0.data, n).view(float),
-        float(times[-1]),
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-    )
+    m = _TAYLOR_DEGREE
+    terms = np.empty((m + 1, 3 * n * n), complex)
+    terms[0] = _pack(rho0.data, n)
+    end, point = np.empty_like(terms[0]), np.empty_like(terms[0])
     edges = (n * n - 1, 2 * n * n - 1)  # ee[N, N] and gg[N, N] in the packed vector
-    steps = interpolants = 0
+    t, t_last = rho0.time, float(times[-1])
+    steps = outputs = 0
     max_edge = 0.0
-    try:
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise OracleError(f"integration failed at t={solver.t:.6g}: {message}")
-            steps += 1
-            current = np.ascontiguousarray(solver.y).view(complex)
-            edge = max(abs(current[i]) for i in edges)
-            if edge > 1e-8:
-                raise OracleError(
-                    f"edge Fock population {edge:.3e} at t={solver.t:.6g}: truncation blow-up"
-                )
-            max_edge = max(max_edge, edge)
-            if ptr < times.size and solver.t >= times[ptr]:
-                dense = solver.dense_output()
-                interpolants += 1
-                while ptr < times.size and times[ptr] <= solver.t:
-                    out = np.ascontiguousarray(dense(times[ptr])).view(complex)
-                    yield float(times[ptr]), _unpack(out, n)
-                    ptr += 1
-        log.debug(
-            "integrated N=%d over [%g, %g]: %d accepted steps, %d RHS evaluations, "
-            "%d dense outputs, max edge population %.3e",
-            n - 1, rho0.time, solver.t, steps, solver.nfev, interpolants, max_edge,
+    while ptr < times.size:
+        for k in range(1, m + 1):
+            # real views: complex division by k is slower and rounds differently
+            np.divide(gen(terms[k - 1]).view(float), k, out=terms[k].view(float))
+        scale = config.rel_tol * np.abs(terms[0])
+        scale += config.abs_tol
+        # 1/rate is the largest h with h^(m-1) |T_(m-1)| <= 1 and h^m |T_m| <= 1
+        rate = max(
+            _weighted_rms(terms[m - 1], scale) ** (1.0 / (m - 1)),
+            _weighted_rms(terms[m], scale) ** (1.0 / m),
         )
-    finally:
-        # the solver refers to itself through its fun closures: break that
-        # cycle so it and its stage buffers are freed now, not at a full GC
-        vars(solver).clear()
+        if not math.isfinite(rate):
+            raise OracleError(f"state turned non-finite at t={t:.6g}")
+        if rate * (t_last - t) <= 1.0:
+            t_next = t_last
+        elif t + 1.0 / rate > t:
+            t_next = t + 1.0 / rate
+        else:
+            raise OracleError(f"step size {1.0 / rate:.3e} no longer advances t={t:.6g}")
+        steps += 1
+        _taylor_sum(terms, t_next - t, end)
+        edge = max(abs(end[i]) for i in edges)
+        if edge > 1e-8:
+            raise OracleError(
+                f"edge Fock population {edge:.3e} at t={t_next:.6g}: truncation blow-up"
+            )
+        max_edge = max(max_edge, edge)
+        while ptr < times.size and times[ptr] <= t_next:
+            _taylor_sum(terms, times[ptr] - t, point)
+            yield float(times[ptr]), _unpack(point, n)
+            ptr += 1
+            outputs += 1
+        terms[0] = end
+        t = t_next
+    log.debug(
+        "integrated N=%d over [%g, %g]: %d steps, %d RHS evaluations, %d outputs, "
+        "max edge population %.3e",
+        n - 1, rho0.time, t, steps, m * steps, outputs, max_edge,
+    )
 
 
 def evolve(

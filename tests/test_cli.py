@@ -494,6 +494,30 @@ def test_out_of_range_ratios_exit_2_with_one_line(tmp_path, capsys, mode, k_over
     assert not out.with_name(out.name + ".tmp").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--rel-tol", "inf", "integrator tolerances must be finite"),
+        ("--rel-tol", "nan", "integrator tolerances must be finite"),
+        ("--abs-tol", "inf", "integrator tolerances must be finite"),
+        ("--rel-tol", "1e-30", "rel_tol must lie in [2.22e-14, 1)"),
+        ("--abs-tol", "0", "abs_tol must be positive"),
+    ],
+)
+def test_absurd_tolerances_exit_2_with_one_line(tmp_path, capsys, flag, value, message):
+    # --rel-tol inf used to run forever, and 1e-30 ran at 2.2e-14 with a warning
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(
+            ["--mode", "trace", "--oracle", "--points", "5", flag, value, "--out", str(out)]
+        )
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["trace", "figures"])
 def test_an_overflowing_horizon_exits_2_without_warnings(tmp_path, capsys, mode):
     # omega t_max = 1e308 pi overflows to inf; the figures tables are built
@@ -592,12 +616,29 @@ def test_verify_without_out_names_the_unwritable_temp_dir(tmp_path, capsys, monk
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {tmp_path / 'missing'}")
 
 
+def _run_isolated(code, cwd, **env):
+    """Run ``code`` in a fresh interpreter that imports this package.
+
+    ``env`` entries override the inherited environment; None removes one.
+    """
+    package_root = Path(dispersive_jcm.__file__).resolve().parents[1]
+    pythonpath = filter(None, [str(package_root), os.environ.get("PYTHONPATH")])
+    merged = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath), **env}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={key: value for key, value in merged.items() if value is not None},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_import_and_csv_modes_load_no_scipy_submodule(tmp_path):
     # the closed forms, their roots and the Fock truncation need numpy alone;
     # scipy's submodules load on first use
-    package_root = Path(dispersive_jcm.__file__).resolve().parents[1]
-    pythonpath = filter(None, [str(package_root), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
     code = (
         "import sys\n"
         "import dispersive_jcm, dispersive_jcm.cli as cli\n"
@@ -612,24 +653,12 @@ def test_import_and_csv_modes_load_no_scipy_submodule(tmp_path):
         "heavy = {'scipy.sparse', 'scipy.integrate', 'scipy.linalg', 'scipy.optimize', 'scipy.special'}\n"
         "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _run_isolated(code, tmp_path).strip() == "[]"
     assert len(list((tmp_path / "figs").iterdir())) == len(cli.FIGURE_SETS)
 
 
 def test_verify_without_oracle_loads_neither_optimize_nor_special(tmp_path):
-    # only scipy.integrate, which the oracle's integrator needs, brings them
-    package_root = Path(dispersive_jcm.__file__).resolve().parents[1]
-    pythonpath = filter(None, [str(package_root), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    # c6 needs scipy.linalg and scipy.sparse alone
     code = (
         "import sys, contextlib, io\n"
         "import dispersive_jcm.cli as cli\n"
@@ -638,16 +667,32 @@ def test_verify_without_oracle_loads_neither_optimize_nor_special(tmp_path):
         "heavy = {'scipy.optimize', 'scipy.special', 'scipy.integrate'}\n"
         "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=env,
-        timeout=120,
+    assert _run_isolated(code, tmp_path).strip() == "[]"
+
+
+def test_oracle_trace_loads_no_integrator_optimizer_or_special_functions(tmp_path):
+    # the propagator is the package's own; scipy.integrate would bring the rest
+    code = (
+        "import sys\n"
+        "import dispersive_jcm.cli as cli\n"
+        "assert cli.main(['--mode', 'trace', '--oracle', '--points', '21',\n"
+        "                 '--t-max-pi', '0.5', '--out', 'o.csv']) == 0\n"
+        "heavy = {'scipy.integrate', 'scipy.optimize', 'scipy.special'}\n"
+        "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _run_isolated(code, tmp_path).strip() == "[]"
+
+
+def test_oracle_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # N = 52, where numpy's OpenBLAS used to thread the integrator's products
+    for name, threads in (("default", None), ("one-thread", "1")):
+        code = (
+            "import dispersive_jcm.cli as cli\n"
+            "assert cli.main(['--mode', 'trace', '--oracle', '--k-over-omega', '0.2',\n"
+            f"                 '--f-over-k', '2', '--points', '201', '--out', '{name}.csv']) == 0\n"
+        )
+        _run_isolated(code, tmp_path, OPENBLAS_NUM_THREADS=threads)
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "one-thread.csv").read_bytes()
 
 
 def test_invalid_physics_parameters_exit_nonzero(tmp_path, capsys):

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import scipy.integrate
 import scipy.linalg
-from scipy.integrate import DOP853
+import scipy.sparse
 from scipy.special import pdtrc
 
 from dispersive_jcm import acceptance, analytic, oracle
@@ -63,7 +62,7 @@ def _pdtrc_truncation(abar):
 @settings(max_examples=300, deadline=None)
 @given(abar=st.one_of(st.floats(0.0, 40.0), st.floats(0.0, 1.0)))
 def test_fock_truncation_follows_the_pdtrc_rule(abar):
-    # the refusal above N = 616 names the N the rule gives
+    # the refusal above N = 814 names the N the rule gives
     expected = _pdtrc_truncation(abar)
     params = ModelParams(1.0, 1.0, abar / 2.0)
     try:
@@ -161,6 +160,28 @@ def test_integrator_config_rejects_nonpositive_tolerances():
         oracle.IntegratorConfig(abs_tol=-1e-9)
 
 
+@pytest.mark.parametrize(
+    "tolerances, message",
+    [
+        ({"rel_tol": math.inf}, "must be finite"),
+        ({"rel_tol": math.nan}, "must be finite"),
+        ({"abs_tol": math.inf}, "must be finite"),
+        ({"abs_tol": math.nan}, "must be finite"),
+        # below 100 eps the step-size rule asks for less than rounding error
+        ({"rel_tol": 1e-30}, r"rel_tol must lie in \[2.22e-14, 1\)"),
+        ({"rel_tol": 1.0}, r"rel_tol must lie in \[2.22e-14, 1\)"),
+    ],
+)
+def test_integrator_config_rejects_absurd_tolerances(tolerances, message):
+    with pytest.raises(ValueError, match=message):
+        oracle.IntegratorConfig(**tolerances)
+
+
+def test_integrator_config_admits_its_range_ends():
+    oracle.IntegratorConfig(rel_tol=100.0 * np.finfo(float).eps)
+    oracle.IntegratorConfig(rel_tol=0.999, abs_tol=1e300)
+
+
 # ---------------------------------------------------------------- evolution
 
 def test_evolve_matches_dense_closed_form():
@@ -203,11 +224,24 @@ def test_trajectory_emits_requested_times_in_one_pass():
     assert oracle.trace_distance(out[-1][1], ref) < 1e-8
 
 
-def test_each_finished_integration_logs_one_stats_record(caplog):
+def test_each_finished_integration_logs_one_stats_record(caplog, monkeypatch):
     pattern = re.compile(
-        r"integrated N=(\d+) over \[\S+, \S+\]: (\d+) accepted steps, (\d+) RHS "
-        r"evaluations, (\d+) dense outputs, max edge population (\S+)$"
+        r"integrated N=(\d+) over \[(\S+), (\S+)\]: (\d+) steps, (\d+) RHS "
+        r"evaluations, (\d+) outputs, max edge population (\S+)$"
     )
+    calls = []
+    build = oracle.build_generator
+
+    def counting(params, n_fock):
+        gen = build(params, n_fock)
+
+        def counted(y):
+            calls.append(y.shape)
+            return gen(y)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "build_generator", counting)
     params = make_params(0.2, 1.0)
     rho0 = oracle.initial_state(params, BALANCED)
     times = np.linspace(0.0, 2.0, 9)
@@ -218,13 +252,17 @@ def test_each_finished_integration_logs_one_stats_record(caplog):
     stats = [pattern.match(r.getMessage()) for r in caplog.records]
     stats = [m for m in stats if m is not None]
     assert len(stats) == 2  # one per integration
-    for m, emitted in zip(stats, (times.size - 1, 1)):
-        n, accepted, nfev, dense = (int(m.group(i)) for i in range(1, 5))
-        assert n == rho0.n_fock - 1
-        # twelve evaluations per DOP853 attempt, rejected attempts included
-        assert accepted >= 1 and nfev >= 12 * accepted
-        assert 1 <= dense <= min(accepted, emitted)
-        assert 0.0 <= float(m.group(5)) <= 1e-8
+    assert set(calls) == {(3 * rho0.n_fock**2,)}
+    assert len(calls) == sum(int(m.group(5)) for m in stats)
+    # the point at t = 0 is the initial state, not an output of the propagator
+    for m, t_end, emitted in zip(stats, (2.0, 1.0), (times.size - 1, 1)):
+        assert int(m.group(1)) == rho0.n_fock - 1
+        assert (float(m.group(2)), float(m.group(3))) == (0.0, t_end)
+        steps, evaluations, outputs = (int(m.group(i)) for i in range(4, 7))
+        # sixteen generator calls per step, and no step is ever rejected
+        assert steps >= 1 and evaluations == 16 * steps
+        assert outputs == emitted
+        assert 0.0 <= float(m.group(7)) <= 1e-8
 
 
 def test_trajectory_validates_time_ordering():
@@ -294,12 +332,10 @@ def test_initial_state_is_the_product_outer_product():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_time_is_refused_before_integrating(monkeypatch, bad):
-    # without the check DOP853 rejects steps forever at nan and runs on at inf
     def refuse(*args, **kwargs):
         raise AssertionError("integration started")
 
     rho0 = oracle.initial_state(P111, BALANCED, n_fock=6)
-    monkeypatch.setattr(scipy.integrate, "DOP853", refuse)
     monkeypatch.setattr(oracle, "build_generator", refuse)
     with pytest.raises(ValueError, match=f"time {bad} is not finite"):
         list(oracle.evolve_trajectory(P111, rho0, [0.5, bad]))
@@ -317,35 +353,63 @@ def test_emitted_matrices_have_ge_equal_to_eg_adjoint():
         assert np.array_equal(mat[n:, :n], mat[:n, n:].conj().T)
 
 
-def _live_solvers():
-    return [obj for obj in gc.get_objects() if isinstance(obj, DOP853)]
-
-
-def test_finished_solvers_are_freed_without_a_collection():
+def test_term_buffer_is_freed_without_a_collection():
+    # the generator's frame holds the Taylor terms; with the collector off,
+    # any reference cycle through it would keep them allocated
     rho0 = oracle.initial_state(P111, BALANCED)
+    small = oracle.initial_state(P111, BALANCED, n_fock=6)
+    terms = 16 * (oracle._TAYLOR_DEGREE + 1) * 3 * rho0.n_fock**2  # bytes of the buffer
     gc.collect()
     gc.disable()
+    tracemalloc.start()
     try:
-        assert not _live_solvers()
+        base, _ = tracemalloc.get_traced_memory()
         for _ in oracle.evolve_trajectory(P111, rho0, [0.1, 0.2]):
             pass
-        assert not _live_solvers()
+        assert tracemalloc.get_traced_memory()[0] - base < terms // 4
         trajectory = oracle.evolve_trajectory(P111, rho0, [0.1, 0.2])
         next(trajectory)
-        assert len(_live_solvers()) == 1
+        assert tracemalloc.get_traced_memory()[0] - base >= terms
         trajectory.close()
-        assert not _live_solvers()
+        assert tracemalloc.get_traced_memory()[0] - base < terms // 4
         # too few Fock levels: the edge guard raises at the first step
-        small = oracle.initial_state(P111, BALANCED, n_fock=6)
-        try:
+        with pytest.raises(oracle.OracleError, match="edge Fock population"):
             list(oracle.evolve_trajectory(P111, small, [0.1]))
-        except oracle.OracleError:
-            pass
-        else:
-            raise AssertionError("edge guard did not raise")
-        assert not _live_solvers()
+        assert tracemalloc.get_traced_memory()[0] - base < terms // 4
     finally:
+        tracemalloc.stop()
         gc.enable()
+
+
+def _block_liouvillian(params, n_fock):
+    """The dense block Liouvillian on [vec ee, vec gg, vec eg], built here."""
+    return scipy.sparse.block_diag(
+        [oracle.field_liouvillian(params, n_fock, x, y) for x, y in ("ee", "gg", "eg")]
+    ).toarray()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(1.0, 0.2, 0.08),
+        ModelParams(1.0, 0.7, 0.2 - 0.15j),  # a complex drive
+        ModelParams(1.0, 5.0, 2.0),  # kappa = 5: damping-bound steps
+    ],
+)
+def test_trajectory_matches_the_exponential_of_the_block_liouvillian(params):
+    # |F|/kappa <= 0.4 keeps 12 levels within the edge guard and expm small
+    rho0 = oracle.initial_state(params, AtomicAmplitudes(0.6, 0.8j), n_fock=12)
+    n = rho0.n_fock
+    liouvillian = _block_liouvillian(params, n)
+    y0 = oracle._pack(rho0.data, n)
+    # t = 0, two times well inside the first step, a repeated time, and the end
+    times = [0.0, 1e-4, 2e-4, 0.7, 0.7, 1.9]
+    out = list(oracle.evolve_trajectory(params, rho0, times))
+    assert [t for t, _ in out] == times
+    for t, mat in out:
+        exact = scipy.linalg.expm(t * liouvillian) @ y0
+        assert np.max(np.abs(oracle._pack(mat, n) - exact)) < 1e-10, t
+    assert np.array_equal(out[3][1], out[4][1])
 
 
 UNAFFORDABLE = make_params(0.2, 20.0)  # fock_truncation would be N = 1890
