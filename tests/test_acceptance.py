@@ -89,11 +89,11 @@ def test_criterion_8_figure_output_is_deterministic(results):
 
 def test_oracle_checks_name_their_fock_truncation(results):
     details = {r.name: r.detail for r in results}
-    assert details["c1[k=0.2,f=1]"].startswith("N=26, ")
-    assert details["c1[k=0.2,f=0.5]"].startswith("N=15, ")
-    assert details["c1[k=0.2,f=2]"].startswith("N=52, ")
-    assert details["c2_oracle_stationarity"] == details["c2_oracle_mean_photons"] == "N=26"
-    assert details["c4_oracle_concurrence_at_roots"] == "N=26"
+    assert details["c1[k=0.2,f=1]"].startswith("N=20, ")
+    assert details["c1[k=0.2,f=0.5]"].startswith("N=14, ")
+    assert details["c1[k=0.2,f=2]"].startswith("N=33, ")
+    assert details["c2_oracle_stationarity"] == details["c2_oracle_mean_photons"] == "N=20"
+    assert details["c4_oracle_concurrence_at_roots"] == "N=20"
 
 
 def test_check_names_are_unique(results):

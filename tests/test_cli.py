@@ -142,12 +142,12 @@ def test_critical_mode_without_drive_writes_only_the_header(tmp_path):
 def test_unaffordable_oracle_truncation_exits_2(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     rc = cli.main(
-        ["--mode", "trace", "--oracle", "--k-over-omega", "0.2", "--f-over-k", "20",
+        ["--mode", "trace", "--oracle", "--k-over-omega", "0.2", "--f-over-k", "40",
          "--out", str(out)]
     )
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: Fock truncation N = 1890")
+    assert len(err) == 1 and err[0].startswith("error: Fock truncation N = 1964")
     assert not out.exists()
     assert not out.with_name(out.name + ".tmp").exists()
 
@@ -649,7 +649,7 @@ def test_import_and_csv_modes_load_no_scipy_submodule(tmp_path):
         "import csv\n"
         "assert any(r['kind'] == 'disentangle' for r in csv.DictReader(open('c.csv')))\n"
         "from dispersive_jcm import model, oracle\n"
-        "assert oracle.fock_truncation(model.ModelParams(1.0, 0.2, 0.4)) == 52\n"
+        "assert oracle.fock_truncation(model.ModelParams(1.0, 0.2, 0.4)) == 33\n"
         "heavy = {'scipy.sparse', 'scipy.integrate', 'scipy.linalg', 'scipy.optimize', 'scipy.special'}\n"
         "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy))\n"
     )
@@ -684,7 +684,7 @@ def test_oracle_trace_loads_no_integrator_optimizer_or_special_functions(tmp_pat
 
 
 def test_oracle_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # N = 52, where numpy's OpenBLAS used to thread the integrator's products
+    # the largest standard truncation, N = 33
     for name, threads in (("default", None), ("one-thread", "1")):
         code = (
             "import dispersive_jcm.cli as cli\n"

@@ -26,22 +26,22 @@ BALANCED = AtomicAmplitudes.symmetric()
 # ---------------------------------------------------------------- construction
 
 def test_fock_truncation_frozen_values():
-    assert oracle.fock_truncation(P111) == 26
-    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.2)) == 26
-    assert oracle.fock_truncation(ModelParams(1.0, 5.0, 5.0)) == 26
-    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.1)) == 15
-    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.4)) == 52
+    assert oracle.fock_truncation(P111) == 20
+    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.2)) == 20
+    assert oracle.fock_truncation(ModelParams(1.0, 5.0, 5.0)) == 20
+    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.1)) == 14
+    assert oracle.fock_truncation(ModelParams(1.0, 0.2, 0.4)) == 33
 
 
 @pytest.mark.parametrize("abar", [0.0, 1e-7, 0.3, 1.0, 2.0, 2.7, 4.0, 7.5, 12.0, 20.0])
 def test_fock_truncation_is_the_smallest_meeting_the_poisson_bound(abar):
-    n = oracle.fock_truncation(ModelParams(1.0, 1.0, abar / 2.0))
+    n = oracle.fock_truncation(ModelParams(1.0, 1.0, abar))
     mean = abar * abar
 
     def tail(k):  # P(Poisson(mean) > k)
         return 1.0 if k < 0 else float(pdtrc(k, mean))
 
-    assert tail(n - 1) <= 1e-12 < tail(n - 2)
+    assert tail(n - 1) <= 1e-18 < tail(n - 2)
     if abar == 0.0:
         assert n == 1
 
@@ -49,10 +49,10 @@ def test_fock_truncation_is_the_smallest_meeting_the_poisson_bound(abar):
 def _pdtrc_truncation(abar):
     """The truncation rule with scipy's Poisson tail, bisected from k = -1."""
     mean = abar * abar
-    fails, holds = -1, math.ceil(mean + 28.0 + math.sqrt(56.0 * mean))
+    fails, holds = -1, math.ceil(mean + 42.0 + math.sqrt(84.0 * mean))
     while holds - fails > 1:
         mid = (fails + holds) // 2
-        if pdtrc(float(mid), mean) <= 1e-12:
+        if pdtrc(float(mid), mean) <= 1e-18:
             holds = mid
         else:
             fails = mid
@@ -64,7 +64,7 @@ def _pdtrc_truncation(abar):
 def test_fock_truncation_follows_the_pdtrc_rule(abar):
     # the refusal above N = 814 names the N the rule gives
     expected = _pdtrc_truncation(abar)
-    params = ModelParams(1.0, 1.0, abar / 2.0)
+    params = ModelParams(1.0, 1.0, abar)
     try:
         n = oracle.fock_truncation(params)
     except oracle.OracleError as exc:
@@ -125,7 +125,7 @@ def test_ladder_exponential_is_the_finite_series(c):
 
 def test_initial_state_is_a_valid_pure_product():
     rho0 = oracle.initial_state(P111, BALANCED)
-    assert rho0.n_fock == 27  # truncation index 26 -> 27 levels
+    assert rho0.n_fock == 21  # truncation index 20 -> 21 levels
     assert rho0.time == 0.0
     rho0.validate()
     obs = oracle.observables(rho0)
@@ -190,6 +190,36 @@ def test_evolve_matches_dense_closed_form():
     assert final.time == 0.6
     ref = acceptance.dense_state(analytic.matrix_elements(P111, BALANCED, 0.6), final.n_fock)
     assert oracle.trace_distance(final.data, ref) < 1e-8
+
+
+@pytest.mark.parametrize("k_over_omega, f_over_k", acceptance.PARAMETER_SETS)
+def test_each_c1_set_matches_the_dense_closed_form_on_the_c1_grid(k_over_omega, f_over_k):
+    # the truncation error in trace distance goes as the square root of the
+    # Poisson tail weight: 0.7e-10 to 1.3e-10 at 1e-18, 1.2e-8 to 8.4e-8 at 1e-12
+    params = make_params(k_over_omega, f_over_k)
+    times = np.linspace(0.0, acceptance._TRACE_T_MAX, acceptance._TRACE_POINTS)
+    rho0 = oracle.initial_state(params, BALANCED)
+    worst = 0.0
+    for t, mat in oracle.evolve_trajectory(params, rho0, times):
+        ref = acceptance.dense_state(analytic.matrix_elements(params, BALANCED, t), rho0.n_fock)
+        worst = max(worst, oracle.trace_distance(mat, ref))
+    assert worst < 1e-8
+
+
+@pytest.mark.parametrize(
+    "params",
+    [make_params(k, f) for k, f in acceptance.PARAMETER_SETS]
+    + [ModelParams(1.0, 0.2, 0.3 * np.exp(2.1j))],
+)
+def test_coherent_amplitudes_stay_in_the_invariant_disc(params):
+    # the disc |beta| <= |F|/kappa that fock_truncation sizes N for; the
+    # start -iF/kappa lies on its rim
+    radius = abs(params.drive) / params.kappa
+    times = np.linspace(0.0, 30.0 / params.kappa, 20001)
+    pair = analytic.coherent_pair(params, times)
+    for beta in (pair.beta_e_prime, pair.beta_g_prime):
+        assert np.max(np.abs(beta)) <= radius * (1.0 + 1e-12)
+        assert abs(beta[0]) == pytest.approx(radius, rel=1e-15)
 
 
 def test_evolve_excited_atom_keeps_field_coherent():
@@ -412,27 +442,27 @@ def test_trajectory_matches_the_exponential_of_the_block_liouvillian(params):
     assert np.array_equal(out[3][1], out[4][1])
 
 
-UNAFFORDABLE = make_params(0.2, 20.0)  # fock_truncation would be N = 1890
+UNAFFORDABLE = make_params(0.2, 40.0)  # fock_truncation would be N = 1964
 
 
 def test_unaffordable_truncation_is_refused_before_allocating():
     with pytest.raises(oracle.OracleError, match="budget"):
         oracle.fock_truncation(UNAFFORDABLE)
     with pytest.raises(oracle.OracleError, match="budget"):
-        oracle.initial_state(P111, BALANCED, n_fock=1891)
+        oracle.initial_state(P111, BALANCED, n_fock=1965)
     with pytest.raises(oracle.OracleError, match="budget"):
         oracle.fock_truncation(ModelParams(1.0, 1e-5, 1e100))  # N is about 4e210
     amplitudes = np.zeros(200, complex)
     tracemalloc.start()
     try:
-        with pytest.raises(oracle.OracleError, match="N = 1890"):
+        with pytest.raises(oracle.OracleError, match="N = 1964"):
             oracle.series(UNAFFORDABLE, np.linspace(0.0, 4.0 * np.pi, 200), amplitudes, amplitudes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # the limit stays far above the largest standard truncation, N = 52
-    assert oracle.initial_state(ModelParams(1.0, 0.2, 0.4), BALANCED).n_fock == 53
+    # the limit stays far above the largest standard truncation, N = 33
+    assert oracle.initial_state(ModelParams(1.0, 0.2, 0.4), BALANCED).n_fock == 34
     oracle._check_affordable(501)
 
 
@@ -466,24 +496,33 @@ def test_embedding_flags_the_degenerate_start():
 
 @pytest.mark.parametrize("f_over_k", [0.5, 1.0, 2.0])
 def test_degenerate_direction_is_the_displaced_first_excited_state(f_over_k):
-    # every amplitude of the dynamics stays in the disc |u| <= |F|/kappa, and
-    # the truncation is sized for twice that radius
-    n = oracle.fock_truncation(make_params(0.2, f_over_k)) + 1
+    # every amplitude of the dynamics stays in the disc |u| <= |F|/kappa, for
+    # which the truncation is sized
     radii = np.array([0.0, 0.1, 0.25, 0.5, 1.0, 2.0])
     radii = radii[radii <= f_over_k]
     u = (radii[:, None] * np.exp(1j * np.array([0.0, 0.9, 2.3, -1.6]))).ravel()
-    f1 = oracle.coherent_state_vector(u, n)
-    f2 = oracle._displaced_first_excited(f1, u)
+
+    def displaced(n):
+        f1 = oracle.coherent_state_vector(u, n)
+        return f1, oracle._displaced_first_excited(f1, u)
+
+    n = oracle.fock_truncation(make_params(0.2, f_over_k)) + 1
+    f1, f2 = displaced(n)
     for i, alpha in enumerate(u):
         # the dense exponential on eight more levels, restricted: on n levels
-        # its own top entry is off by 1.2e-11 at N = 15 and |u| = 0.5
+        # its own top entries are off by 9e-11 to 7e-10 at these truncations
         reference = _dense_displacement(alpha, n + 8)[:n, 1]
         assert np.max(np.abs(f2[i] - reference)) <= 1e-12, alpha
-        if f_over_k >= 1.0:
-            reference = _dense_displacement(alpha, n)[:, 1]
-            assert np.max(np.abs(f2[i] - reference)) <= 1e-12, alpha
         assert abs(np.vdot(f1[i], f2[i])) <= 1e-14, alpha
         assert abs(np.linalg.norm(f2[i]) - 1.0) <= 1e-14, alpha
+    # at a truncation sized for twice the disc radius the dense exponential
+    # on its own levels is exact to 1e-12
+    dense_levels = {1.0: 27, 2.0: 53}.get(f_over_k)
+    if dense_levels is not None:
+        _, g2 = displaced(dense_levels)
+        for i, alpha in enumerate(u):
+            reference = _dense_displacement(alpha, dense_levels)[:, 1]
+            assert np.max(np.abs(g2[i] - reference)) <= 1e-12, alpha
 
 
 def test_oracle_measurements_call_no_dense_matrix_exponential(monkeypatch):
