@@ -133,16 +133,22 @@ def _cexpm1(zv):
     return np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2) ** 2 + 1j * np.exp(x) * np.sin(y)
 
 
+def _excited_amplitudes(params: ModelParams, t):
+    """The excited conditioned amplitudes beta_e and beta_e'; array-capable in t."""
+    w, k, F = params.omega, params.kappa, complex(params.drive)
+    c = k + 1j * w
+    decay_e = np.exp(-c * t)
+    be = F / (w - 1j * k) * (decay_e - 1.0)
+    return be, be - 1j * (F / k) * decay_e
+
+
 def _amplitudes(params: ModelParams, t):
     """All four conditioned amplitudes; array-capable in t."""
     w, k, F = params.omega, params.kappa, complex(params.drive)
-    c = k + 1j * w
     cb = k - 1j * w
-    decay_e = np.exp(-c * t)
+    be, bep = _excited_amplitudes(params, t)
     decay_g = np.exp(-cb * t)
-    be = F / (w - 1j * k) * (decay_e - 1.0)
     bg = -F / (w + 1j * k) * (decay_g - 1.0)
-    bep = be - 1j * (F / k) * decay_e
     bgp = bg - 1j * (F / k) * decay_g
     return be, bg, bep, bgp
 
@@ -337,7 +343,7 @@ def observables(params: ModelParams, t) -> dict:
     # tests corrupt these two kernels to show that the gate notices
     re_phi = np.real(_phi(params, t)).copy()  # owned: a view keeps complex phi alive
     d2 = _dist_sq(params, t)
-    _, _, u, _ = _amplitudes(params, t)
+    _, u = _excited_amplitudes(params, t)
     x_g = np.exp(re_phi)
     x_f = np.exp(-0.5 * d2)
     zeta = -0.5 * np.expm1(2.0 * re_phi)

@@ -74,11 +74,13 @@ MEMORY_BUDGET_BYTES = 1 << 30
 # The plan for one integration is 3 * _PACKED_COPIES + 4 * _DENSE_COPIES
 # complex entries per (N+1)^2.  Alive at its peak: the sparse generator
 # (about 8 packed states of 3(N+1)^2 entries), the 17 Taylor terms of a
-# step with two evaluation buffers and the step's temporaries (about 21),
-# and the dense 2(N+1)-square matrices of one extracted point; the
-# generator's build temporaries peak lower.  The plan is the tracemalloc
-# peak of an integration with extraction, within a few percent, for N from
-# 190 to 250.  The budget then admits N up to 814.
+# step with the step end, one evaluation chunk (two states up to N = 208,
+# one above) and the step's temporaries (about 21 to 22), and the dense
+# 2(N+1)-square matrices of one extracted point; the generator's build
+# temporaries peak lower.  The plan is the tracemalloc peak of an
+# integration with extraction, within a few percent, for N from 190 to 250:
+# 101.7 entries per (N+1)^2 up to N = 208 and 98.7 above, against 101.
+# The budget then admits N up to 814.
 _PACKED_COPIES = 23
 _DENSE_COPIES = 8
 
@@ -88,7 +90,8 @@ _TAYLOR_DEGREE = 16
 
 # Points :func:`series` extracts together, and the memory its stack may take:
 # below N of about 180 the stack adds up to 4 MiB to the plan above; above it
-# a stack is one point.
+# a stack is one point.  :func:`evolve_trajectory` evaluates packed states in
+# chunks under the same two limits.
 _STACK_POINTS = 16
 _STACK_BYTES = 1 << 22
 
@@ -342,32 +345,50 @@ def initial_state(
 
 # ---------------------------------------------------------------- generator & evolution
 
+def _liouvillian(params: ModelParams, n_fock: int, blocks):
+    """Sparse Liouvillian of the field blocks ``blocks``, joined block-diagonally.
+
+    Each block rho_xy is named by its atomic levels, as in ("ee", "gg",
+    "eg"), and is column-stacked.  Neither H nor the jump flips the atom, so
+    each block obeys d rho_xy/dt = -i(H_x rho_xy - rho_xy H_y) + k(2 a rho_xy
+    a_dag - ...) with H_e = w(a_dag a + 1) + V, H_g = -w a_dag a + V and
+    V = F a_dag + conj(F) a.  In the maps of :func:`ladder_maps` that is
+    -i(H_x,left - H_y,right) + k(2J - M - P), with J: X -> a X a_dag and the
+    number maps M: X -> a_dag a X and P: X -> X a_dag a.  The drive
+    -iF(a_dag,left - a_dag,right) - i conj(F)(a_left - a_right) and the jump
+    2kJ are the same in every block and are built once; the rest is
+    diagonal, -i(H_x(i) - H_y(j)) - k(i + j) at entry X[i, j], and all
+    blocks' diagonals go in with one sparse sum.
+    """
+    w, k, F = params.omega, params.kappa, complex(params.drive)
+    a_left, a_left_dag, a_right, a_right_dag = ladder_maps(n_fock)
+    drive = F * (a_left_dag - a_right_dag) + np.conj(F) * (a_left - a_right)
+    shared = -1j * drive + k * (2.0 * (a_left @ a_right_dag))
+    # the diagonal of a_dag a as the product of the ladder maps forms it,
+    # sqrt(i)^2 and not i, so that L is entry for entry that product form
+    ladder = np.sqrt(np.arange(n_fock))
+    number = ladder * ladder
+    energy = {"e": w * (number + 1.0), "g": -w * number}
+    # column-stacked X[i, j] sits at i + j (N+1): left maps act on i, right maps on j
+    damping = k * (-number[:, None] - number)
+    diagonal = np.concatenate(
+        [(damping - 1j * (energy[x][:, None] - energy[y])).ravel("F") for x, y in blocks]
+    )
+    return scipy.sparse.block_diag([shared] * len(blocks), format="csr") + scipy.sparse.diags(
+        diagonal, format="csr"
+    )
+
+
 def field_liouvillian(params: ModelParams, n_fock: int, left: str, right: str):
     """Sparse Liouvillian of one field block rho_xy, column-stacked.
 
     ``left`` and ``right`` name the atomic levels x and y, each ``"e"`` or
-    ``"g"``.  Neither H nor the jump flips the atom, so each field block obeys
-    d rho_xy/dt = -i(H_x rho_xy - rho_xy H_y) + k(2 a rho_xy a_dag - ...)
-    with H_e = w(a_dag a + 1) + V, H_g = -w a_dag a + V and
-    V = F a_dag + conj(F) a.  In the maps of :func:`ladder_maps` this is
-    -i(H_x,left - H_y,right) + k(2J - M - P), with J: X -> a X a_dag and the
-    number maps M: X -> a_dag a X and P: X -> X a_dag a.
+    ``"g"``; the form is that of :func:`_liouvillian`, which also builds the
+    propagator's block matrix.
     """
     if not {left, right} <= {"e", "g"}:
         raise ValueError(f"field block levels must be 'e' or 'g', got {left!r}, {right!r}")
-    w, k, F = params.omega, params.kappa, complex(params.drive)
-    a_left, a_left_dag, a_right, a_right_dag = ladder_maps(n_fock)
-    eye = scipy.sparse.identity(n_fock * n_fock, dtype=complex, format="csr")
-    number_left, number_right = a_left_dag @ a_left, a_right @ a_right_dag
-
-    def hamiltonian(level, number, lower, lower_dag):
-        drive = F * lower_dag + np.conj(F) * lower
-        return (w * (number + eye) if level == "e" else -w * number) + drive
-
-    h_left = hamiltonian(left, number_left, a_left, a_left_dag)
-    h_right = hamiltonian(right, number_right, a_right, a_right_dag)
-    damping = k * (2.0 * (a_left @ a_right_dag) - number_left - number_right)
-    return -1j * (h_left - h_right) + damping
+    return _liouvillian(params, n_fock, [(left, right)])
 
 
 def build_generator(params: ModelParams, n_fock: int):
@@ -375,15 +396,12 @@ def build_generator(params: ModelParams, n_fock: int):
 
     d rho/dt = -i[H, rho] + k(2 a rho a_dag - a_dag a rho - rho a_dag a)
     with H = w[(a_dag a + 1) P_e - a_dag a P_g] + (F a_dag + conj(F) a).
-    The ee, gg and eg Liouvillians of :func:`field_liouvillian` are joined
-    block-diagonally into one sparse matrix L acting on
-    [vec ee, vec gg, vec eg] (see :func:`_pack`).  Returns y -> L y, one
-    sparse matvec per evaluation.
+    The ee, gg and eg Liouvillians (see :func:`field_liouvillian`) form one
+    block-diagonal sparse matrix L acting on [vec ee, vec gg, vec eg] (see
+    :func:`_pack`), built by one call of :func:`_liouvillian`.  Returns
+    y -> L y, one sparse matvec per evaluation.
     """
-    liouvillian = scipy.sparse.block_diag(
-        [field_liouvillian(params, n_fock, x, y) for x, y in ("ee", "gg", "eg")],
-        format="csr",
-    )
+    liouvillian = _liouvillian(params, n_fock, ("ee", "gg", "eg"))
 
     def generator(y: np.ndarray) -> np.ndarray:
         return liouvillian @ y
@@ -408,22 +426,25 @@ def _edge_population(rho: np.ndarray, n_fock: int) -> float:
     return max(abs(rho[n_fock - 1, n_fock - 1]), abs(rho[-1, -1]))
 
 
-def _weighted_rms(x: np.ndarray, scale: np.ndarray) -> float:
-    """RMS of |x| / scale, by elementwise ufuncs and a pairwise sum (no BLAS call)."""
+def _weighted_rms(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """RMS of |x| / scale along the last axis, by ufuncs and pairwise sums (no BLAS call)."""
     ratio = np.abs(x)
     ratio /= scale
     ratio *= ratio
-    return math.sqrt(float(np.mean(ratio)))
+    return np.sqrt(np.mean(ratio, axis=-1))
 
 
-def _taylor_sum(terms: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
-    """sum_k terms[k] s^k into ``out`` by Horner's rule."""
-    np.multiply(terms[-1], s, out=out)
-    for term in terms[-2:0:-1]:
-        out += term
-        out *= s
-    out += terms[0]
-    return out
+def _taylor_values(terms: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_k terms[k] s^k for each s in ``offsets``, one row of ``out`` each.
+
+    One einsum over the real view of the terms (the powers are real): a C
+    sum of products, no BLAS call.  ``out`` is a real buffer of at least
+    as many rows; the complex view of the rows used is returned.
+    """
+    powers = np.power.outer(offsets, np.arange(terms.shape[0], dtype=float))
+    rows = out[: offsets.size]
+    np.einsum("pk,kd->pd", powers, terms.view(float), out=rows)
+    return rows.view(complex)
 
 
 def evolve_trajectory(
@@ -444,14 +465,17 @@ def evolve_trajectory(
     generator call each, and takes the largest h for which the last two,
     times h^15 and h^16, have weighted RMS norm at most 1, with weights
     abs_tol + rel_tol |y|.  The step size comes from terms already
-    computed, so no step is rejected; each requested time inside the step
-    evaluates the same polynomial by Horner's rule, and the last step ends
+    computed, so no step is rejected.  The step end and every requested
+    time inside the step are evaluated together, as sums of the terms
+    times the powers of each offset, in chunks of at most 16 states or
+    4 MiB (one state when a state is larger), and the last step ends
     exactly on the last time.  No BLAS routine is called, so the matrices
     do not depend on the BLAS thread count.  Raises :class:`OracleError`
-    when the edge Fock population exceeds 1e-8 at the end of any step, the
-    state turns non-finite, or a step no longer advances t.  A finished
-    integration logs one debug record: N, the span, steps, generator calls
-    (16 per step), points evaluated and the largest edge population seen.
+    when the edge Fock population exceeds 1e-8 at the end of any step
+    (before any time inside that step is yielded), the state turns
+    non-finite, or a step no longer advances t.  A finished integration
+    logs one debug record: N, the span, steps, generator calls (16 per
+    step), points evaluated and the largest edge population seen.
     """
     config = config or IntegratorConfig()
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -476,22 +500,24 @@ def evolve_trajectory(
     m = _TAYLOR_DEGREE
     terms = np.empty((m + 1, 3 * n * n), complex)
     terms[0] = _pack(rho0.data, n)
-    end, point = np.empty_like(terms[0]), np.empty_like(terms[0])
+    end = np.empty_like(terms[0])
+    # one evaluation chunk: a packed state per row, no more than series
+    # stacks, and no more than the step end and the times left
+    rows = max(1, min(_STACK_POINTS, _STACK_BYTES // terms[0].nbytes, times.size - ptr + 1))
+    values = np.empty((rows, 2 * terms.shape[1]))
     edges = (n * n - 1, 2 * n * n - 1)  # ee[N, N] and gg[N, N] in the packed vector
     t, t_last = rho0.time, float(times[-1])
     steps = outputs = 0
     max_edge = 0.0
     while ptr < times.size:
         for k in range(1, m + 1):
-            # real views: complex division by k is slower and rounds differently
-            np.divide(gen(terms[k - 1]).view(float), k, out=terms[k].view(float))
+            # a real product with 1/k: a complex product, or any division, is slower
+            np.multiply(gen(terms[k - 1]).view(float), 1.0 / k, out=terms[k].view(float))
         scale = config.rel_tol * np.abs(terms[0])
         scale += config.abs_tol
         # 1/rate is the largest h with h^(m-1) |T_(m-1)| <= 1 and h^m |T_m| <= 1
-        rate = max(
-            _weighted_rms(terms[m - 1], scale) ** (1.0 / (m - 1)),
-            _weighted_rms(terms[m], scale) ** (1.0 / m),
-        )
+        last, final = _weighted_rms(terms[m - 1:], scale)
+        rate = float(max(last ** (1.0 / (m - 1)), final ** (1.0 / m)))
         if not math.isfinite(rate):
             raise OracleError(f"state turned non-finite at t={t:.6g}")
         if rate * (t_last - t) <= 1.0:
@@ -501,18 +527,24 @@ def evolve_trajectory(
         else:
             raise OracleError(f"step size {1.0 / rate:.3e} no longer advances t={t:.6g}")
         steps += 1
-        _taylor_sum(terms, t_next - t, end)
-        edge = max(abs(end[i]) for i in edges)
-        if edge > 1e-8:
-            raise OracleError(
-                f"edge Fock population {edge:.3e} at t={t_next:.6g}: truncation blow-up"
-            )
-        max_edge = max(max_edge, edge)
-        while ptr < times.size and times[ptr] <= t_next:
-            _taylor_sum(terms, times[ptr] - t, point)
-            yield float(times[ptr]), _unpack(point, n)
-            ptr += 1
-            outputs += 1
+        # the step end first, then the requested times in (t, t_next]
+        stop = int(np.searchsorted(times, t_next, side="right"))
+        offsets = np.concatenate(([t_next - t], times[ptr:stop] - t))
+        for first in range(0, offsets.size, rows):
+            chunk = _taylor_values(terms, offsets[first : first + rows], values)
+            if first == 0:
+                end[:] = chunk[0]
+                edge = max(abs(end[i]) for i in edges)
+                if edge > 1e-8:
+                    raise OracleError(
+                        f"edge Fock population {edge:.3e} at t={t_next:.6g}: truncation blow-up"
+                    )
+                max_edge = max(max_edge, edge)
+                chunk = chunk[1:]
+            for point in chunk:
+                yield float(times[ptr]), _unpack(point, n)
+                ptr += 1
+                outputs += 1
         terms[0] = end
         t = t_next
     log.debug(

@@ -381,6 +381,14 @@ def test_mean_photon_number_reaches_stationary_value():
     assert np.isclose(nbar[1], 1.0)  # |  -iF/k |^2
 
 
+@pytest.mark.parametrize("params", [make_params(0.37, 1.7), ModelParams(1.3, 0.7, 0.4 - 0.9j)])
+def test_mean_photon_number_is_the_excited_amplitude_of_the_pair_bit_for_bit(params):
+    # observables evaluates beta_e' alone, by the operations coherent_pair uses
+    for t in (np.linspace(0.0, 40.0, 100001), 0.7):
+        u = analytic.coherent_pair(params, t).beta_e_prime
+        assert np.array_equal(analytic.observables(params, t)["nbar_analytic"], np.abs(u) ** 2)
+
+
 def test_driven_mode_fixed_point():
     alpha0 = -1j  # -i F / k for (kappa, F) = (1, 1)
     for t in (0.0, 0.3, 2.0, 15.0):

@@ -442,6 +442,97 @@ def test_trajectory_matches_the_exponential_of_the_block_liouvillian(params):
     assert np.array_equal(out[3][1], out[4][1])
 
 
+def _product_form_liouvillian(params, n_fock, left, right):
+    """One block's Liouvillian as sums and products of the four ladder maps."""
+    w, k, F = params.omega, params.kappa, complex(params.drive)
+    a_left, a_left_dag, a_right, a_right_dag = oracle.ladder_maps(n_fock)
+    eye = scipy.sparse.identity(n_fock * n_fock, dtype=complex, format="csr")
+    number_left, number_right = a_left_dag @ a_left, a_right @ a_right_dag
+
+    def hamiltonian(level, number, lower, lower_dag):
+        drive = F * lower_dag + np.conj(F) * lower
+        return (w * (number + eye) if level == "e" else -w * number) + drive
+
+    h_left = hamiltonian(left, number_left, a_left, a_left_dag)
+    h_right = hamiltonian(right, number_right, a_right, a_right_dag)
+    damping = k * (2.0 * (a_left @ a_right_dag) - number_left - number_right)
+    return -1j * (h_left - h_right) + damping
+
+
+@pytest.mark.parametrize("n_fock", [15, 21, 34])
+@pytest.mark.parametrize("params", [ModelParams(1.0, 0.2, 0.2), ModelParams(1.3, 0.7, 0.4 - 0.9j)])
+def test_block_generator_is_the_block_diagonal_of_the_field_liouvillians(params, n_fock):
+    blocks = [oracle.field_liouvillian(params, n_fock, x, y) for x, y in ("ee", "gg", "eg")]
+    # each block is entry for entry the product form of the ladder maps
+    for block, (x, y) in zip(blocks, ("ee", "gg", "eg")):
+        reference = _product_form_liouvillian(params, n_fock, x, y)
+        assert abs(block - reference).max() == 0.0
+    rng = np.random.default_rng(n_fock)
+    y = rng.normal(size=3 * n_fock**2) + 1j * rng.normal(size=3 * n_fock**2)
+    joined = scipy.sparse.block_diag(blocks, format="csr")
+    assert np.array_equal(oracle.build_generator(params, n_fock)(y), joined @ y)
+
+
+def test_a_step_holding_more_times_than_a_chunk_yields_each_in_order(monkeypatch, caplog):
+    params = ModelParams(1.0, 0.7, 0.2 - 0.15j)
+    # 41 times inside the first step; 0.01 thrice, across a chunk boundary
+    times = np.sort(np.concatenate([np.linspace(1e-3, 0.04, 37), [0.01, 0.01, 0.01, 0.04]]))
+    rho0 = oracle.initial_state(params, AtomicAmplitudes(0.6, 0.8j), n_fock=8)
+    n = rho0.n_fock
+    monkeypatch.setattr(oracle, "_STACK_BYTES", 3 * 16 * 3 * n * n)  # three states a chunk
+    with caplog.at_level(logging.DEBUG, logger=oracle.__name__):
+        out = list(oracle.evolve_trajectory(params, rho0, times))
+    assert " 1 steps, " in caplog.records[-1].getMessage()
+    assert [t for t, _ in out] == list(times)
+    liouvillian = _block_liouvillian(params, n)
+    y0 = oracle._pack(rho0.data, n)
+    for t, mat in out:
+        exact = scipy.linalg.expm(t * liouvillian) @ y0
+        assert np.max(np.abs(oracle._pack(mat, n) - exact)) < 1e-10, t
+    for first, second in zip(out, out[1:]):
+        if first[0] == second[0]:
+            assert np.array_equal(first[1], second[1])
+
+
+def test_the_evaluation_buffer_does_not_grow_with_the_times_in_a_step(monkeypatch):
+    params = ModelParams(1.0, 0.7, 0.2 - 0.15j)
+    times = np.linspace(1e-3, 0.04, 41)
+    rho0 = oracle.initial_state(params, AtomicAmplitudes(0.6, 0.8j), n_fock=30)
+    packed = 16 * 3 * rho0.n_fock**2  # bytes of one packed state
+    monkeypatch.setattr(oracle, "_STACK_BYTES", 3 * packed)
+    build = oracle.build_generator
+    memory = {}
+
+    def marking(params, n_fock):
+        gen = build(params, n_fock)
+        memory["built"] = tracemalloc.get_traced_memory()[0]
+
+        def marked(y):
+            if "first call" not in memory:
+                memory["first call"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            return gen(y)
+
+        return marked
+
+    monkeypatch.setattr(oracle, "build_generator", marking)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in oracle.evolve_trajectory(params, rho0, times):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    terms = (oracle._TAYLOR_DEGREE + 1) * packed
+    # before the first step: the terms, one evaluation chunk and the step end
+    buffer = memory["first call"] - memory["built"] - terms
+    assert 3 * packed <= buffer <= oracle._STACK_BYTES + packed + packed // 8
+    # after it, only the step's temporaries (generator output, step-size
+    # norms) and the emitted matrices in flight, not one state per time
+    assert peak - memory["first call"] < 5 * packed
+
+
 UNAFFORDABLE = make_params(0.2, 40.0)  # fock_truncation would be N = 1964
 
 
