@@ -8,7 +8,8 @@ module verifies that machinery on truncated matrix representations:
 * the ODE systems satisfied by the disentangling functions, with the
   closed-form solutions substituted back in via central differences,
 * the two disentangled-exponential identities (population block and
-  coherence block) against brute-force matrix-exponential evolution.
+  coherence block) against brute-force propagation of the block
+  Liouvillian by :func:`.oracle.propagate`, the oracle's Taylor engine.
 
 The closed forms come from :mod:`.analytic`'s public records
 :func:`.analytic.coherent_pair` and :func:`.analytic.phase_parts`.
@@ -245,21 +246,32 @@ def _test_state(params: ModelParams, dim: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+# Tolerances of the flows: the rel_tol floor, so each flow is exact to rounding
+_FLOW_CONFIG = oracle.IntegratorConfig(rel_tol=oracle.MIN_REL_TOL, abs_tol=1e-16)
+
+
 def _block_flows(params: ModelParams, t: float, rho0: np.ndarray, left: str, right: str):
     """exp(L t) rho0 for one field block, driven and undriven, as matrices.
 
-    Raises ValueError when the driven flow puts more than 1e-8 on the Fock edge.
+    Each flow is one :func:`.oracle.propagate` run on the column-stacked
+    block with the Liouvillian of :func:`.oracle.field_liouvillian`, at
+    the fixed tolerances ``_FLOW_CONFIG`` whatever the integrator options.
+    Raises ValueError when a flow fails, as when it puts more than 1e-8 on
+    the Fock edge rho[N, N] at the end of a step.
     """
     dim = rho0.shape[0]
-    gen_full = oracle.field_liouvillian(params, dim, left, right)
-    gen_free = oracle.field_liouvillian(replace(params, drive=0.0), dim, left, right)
-    driven, free = (
-        _unvec(scipy.sparse.linalg.expm_multiply(gen * t, _vec(rho0)), dim)
-        for gen in (gen_full, gen_free)
-    )
-    if abs(driven[-1, -1]) > 1e-8:
-        raise ValueError("truncation insufficient: edge population above 1e-8")
-    return driven, free
+    flows = []
+    for drive, name in ((params.drive, "driven"), (0.0, "free")):
+        gen = oracle.field_liouvillian(replace(params, drive=drive), dim, left, right)
+        try:
+            ((_, state),) = oracle.propagate(
+                gen.__matmul__, _vec(rho0), 0.0, t, _FLOW_CONFIG, (dim * dim - 1,),
+                f"N={dim - 1} {left}{right} block ({name})",
+            )
+        except oracle.OracleError as err:
+            raise ValueError(f"{name} {left}{right} flow failed: {err}") from err
+        flows.append(_unvec(state, dim))
+    return tuple(flows)
 
 
 def check_diagonal_disentangling(params: ModelParams, t: float, dim: int) -> float:

@@ -40,6 +40,7 @@ __all__ = [
     "TwoQubitEmbedding",
     "OracleError",
     "MEMORY_BUDGET_BYTES",
+    "MIN_REL_TOL",
     "fock_truncation",
     "lowering_operator",
     "displacement_operator",
@@ -50,6 +51,7 @@ __all__ = [
     "initial_state",
     "field_liouvillian",
     "build_generator",
+    "propagate",
     "evolve",
     "evolve_trajectory",
     "partial_trace_field",
@@ -84,14 +86,14 @@ MEMORY_BUDGET_BYTES = 1 << 30
 _PACKED_COPIES = 23
 _DENSE_COPIES = 8
 
-# Taylor degree of one propagation step in :func:`evolve_trajectory`, which
-# calls the generator this many times per step
+# Taylor degree of one propagation step in :func:`propagate`, which calls
+# the generator this many times per step
 _TAYLOR_DEGREE = 16
 
 # Points :func:`series` extracts together, and the memory its stack may take:
 # below N of about 180 the stack adds up to 4 MiB to the plan above; above it
-# a stack is one point.  :func:`evolve_trajectory` evaluates packed states in
-# chunks under the same two limits.
+# a stack is one point.  :func:`propagate` evaluates states in chunks under
+# the same two limits.
 _STACK_POINTS = 16
 _STACK_BYTES = 1 << 22
 
@@ -134,17 +136,17 @@ class FockDensityMatrix:
 
 #: Smallest relative tolerance: below it the step-size rule asks for less
 #: than the rounding error of the Taylor terms themselves
-_MIN_REL_TOL = 100.0 * math.ulp(1.0)
+MIN_REL_TOL = 100.0 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step-size tolerances of the master-equation propagation.
 
-    Each step of :func:`evolve_trajectory` is sized so that its last two
-    Taylor terms stay within abs_tol + rel_tol |y| in the RMS over the
-    packed state y.  Both must be finite; abs_tol positive and rel_tol in
-    [100 eps, 1), or ValueError is raised.
+    Each step of :func:`propagate` is sized so that its last two Taylor
+    terms stay within abs_tol + rel_tol |y| in the RMS over the state y.
+    Both must be finite; abs_tol positive and rel_tol in [100 eps, 1), or
+    ValueError is raised.
     """
 
     rel_tol: float = 1e-9
@@ -158,9 +160,9 @@ class IntegratorConfig:
             )
         if not self.abs_tol > 0:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not _MIN_REL_TOL <= self.rel_tol < 1.0:
+        if not MIN_REL_TOL <= self.rel_tol < 1.0:
             raise ValueError(
-                f"rel_tol must lie in [{_MIN_REL_TOL:.3g}, 1), got {self.rel_tol}"
+                f"rel_tol must lie in [{MIN_REL_TOL:.3g}, 1), got {self.rel_tol}"
             )
 
 
@@ -447,72 +449,68 @@ def _taylor_values(terms: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> n
     return rows.view(complex)
 
 
-def evolve_trajectory(
-    params: ModelParams,
-    rho0: FockDensityMatrix,
-    times,
-    config: IntegratorConfig | None = None,
-):
-    """Yield (t, dense matrix) at each requested time along one integration.
-
-    ``times`` must be finite, non-decreasing and start at or after
-    ``rho0.time``.
-    The packed field blocks of :func:`build_generator` are propagated (the
-    ge block of ``rho0`` is not read: a density matrix has ge = eg^dag) by
-    the Taylor series of exp(hL) cut at degree 16 (Moler & Van Loan, SIAM
-    Rev. 45, 3, 2003; Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488,
-    2011).  A step from state y computes the terms L^k y / k!, one
-    generator call each, and takes the largest h for which the last two,
-    times h^15 and h^16, have weighted RMS norm at most 1, with weights
-    abs_tol + rel_tol |y|.  The step size comes from terms already
-    computed, so no step is rejected.  The step end and every requested
-    time inside the step are evaluated together, as sums of the terms
-    times the powers of each offset, in chunks of at most 16 states or
-    4 MiB (one state when a state is larger), and the last step ends
-    exactly on the last time.  No BLAS routine is called, so the matrices
-    do not depend on the BLAS thread count.  Raises :class:`OracleError`
-    when the edge Fock population exceeds 1e-8 at the end of any step
-    (before any time inside that step is yielded), the state turns
-    non-finite, or a step no longer advances t.  A finished integration
-    logs one debug record: N, the span, steps, generator calls (16 per
-    step), points evaluated and the largest edge population seen.
-    """
-    config = config or IntegratorConfig()
+def _requested_times(times, t0: float) -> np.ndarray:
+    """``times`` as a 1-D float array, or ValueError unless finite, non-decreasing and >= t0."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 0:
-        return
     if not np.all(np.isfinite(times)):
         raise ValueError(f"requested time {times[~np.isfinite(times)][0]} is not finite")
-    if times[0] < rho0.time:
+    if times.size and times[0] < t0:
         raise ValueError("requested times precede the initial state")
     if np.any(np.diff(times) < 0):
         raise ValueError("requested times must be non-decreasing")
-    n = rho0.n_fock
-    gen = build_generator(params, n)
+    return times
 
+
+def propagate(generator, y0: np.ndarray, t0: float, times, config: IntegratorConfig, edges,
+              label: str):
+    """Yield (t, exp((t - t0) L) y0) at each requested time, for the map generator: y -> L y.
+
+    The package's one propagation engine: the Taylor series of exp(hL) cut
+    at degree 16 (Moler & Van Loan, SIAM Rev. 45, 3, 2003; Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 488, 2011).  ``times`` must be finite,
+    non-decreasing and start at or after ``t0``.  A step from state y
+    computes the terms L^k y / k!, one generator call each, and takes the
+    largest h for which the last two, times h^15 and h^16, have weighted
+    RMS norm at most 1, with weights abs_tol + rel_tol |y|.  The step size
+    comes from terms already computed, so no step is rejected.  The step
+    end and every requested time inside the step are evaluated together,
+    as sums of the terms times the powers of each offset, in chunks of at
+    most 16 states or 4 MiB (one state when a state is larger), and the
+    last step ends exactly on the last time.  No BLAS routine is called.
+
+    A time at ``t0`` yields ``y0`` itself and any later time a view that
+    the next state overwrites, so a caller that keeps a state copies it.
+    Raises :class:`OracleError` when an entry of ``y`` at an index in
+    ``edges`` exceeds 1e-8 in modulus at the end of any step (before any
+    time inside that step is yielded), the state turns non-finite, or a
+    step no longer advances t.  A finished propagation logs one debug
+    record: ``label``, the span, steps, generator calls (16 per step),
+    points evaluated and the largest edge modulus seen.
+    """
+    times = _requested_times(times, t0)
     ptr = 0
     # emit any points sitting exactly at the start
-    while ptr < times.size and times[ptr] <= rho0.time:
-        yield float(times[ptr]), rho0.data.copy()
+    while ptr < times.size and times[ptr] <= t0:
+        yield float(times[ptr]), y0
         ptr += 1
     if ptr == times.size:
         return
     m = _TAYLOR_DEGREE
-    terms = np.empty((m + 1, 3 * n * n), complex)
-    terms[0] = _pack(rho0.data, n)
+    terms = np.empty((m + 1, y0.size), complex)
+    terms[0] = y0
+    del y0  # the first term holds the state: a caller's temporary is freed here
     end = np.empty_like(terms[0])
-    # one evaluation chunk: a packed state per row, no more than series
-    # stacks, and no more than the step end and the times left
+    # one evaluation chunk: a state per row, no more than series stacks,
+    # and no more than the step end and the times left
     rows = max(1, min(_STACK_POINTS, _STACK_BYTES // terms[0].nbytes, times.size - ptr + 1))
     values = np.empty((rows, 2 * terms.shape[1]))
-    edges = (n * n - 1, 2 * n * n - 1)  # ee[N, N] and gg[N, N] in the packed vector
-    t, t_last = rho0.time, float(times[-1])
+    t, t_last = t0, float(times[-1])
     steps = outputs = 0
     max_edge = 0.0
     while ptr < times.size:
         for k in range(1, m + 1):
             # a real product with 1/k: a complex product, or any division, is slower
-            np.multiply(gen(terms[k - 1]).view(float), 1.0 / k, out=terms[k].view(float))
+            np.multiply(generator(terms[k - 1]).view(float), 1.0 / k, out=terms[k].view(float))
         scale = config.rel_tol * np.abs(terms[0])
         scale += config.abs_tol
         # 1/rate is the largest h with h^(m-1) |T_(m-1)| <= 1 and h^m |T_m| <= 1
@@ -542,16 +540,46 @@ def evolve_trajectory(
                 max_edge = max(max_edge, edge)
                 chunk = chunk[1:]
             for point in chunk:
-                yield float(times[ptr]), _unpack(point, n)
+                yield float(times[ptr]), point
                 ptr += 1
                 outputs += 1
         terms[0] = end
         t = t_next
     log.debug(
-        "integrated N=%d over [%g, %g]: %d steps, %d RHS evaluations, %d outputs, "
+        "integrated %s over [%g, %g]: %d steps, %d RHS evaluations, %d outputs, "
         "max edge population %.3e",
-        n - 1, rho0.time, t, steps, m * steps, outputs, max_edge,
+        label, t0, t, steps, m * steps, outputs, max_edge,
     )
+
+
+def evolve_trajectory(
+    params: ModelParams,
+    rho0: FockDensityMatrix,
+    times,
+    config: IntegratorConfig | None = None,
+):
+    """Yield (t, dense matrix) at each requested time along one integration.
+
+    ``times`` must be finite, non-decreasing and start at or after
+    ``rho0.time``; they are checked before the generator is built.  The
+    packed field blocks of :func:`build_generator` (the ge block of
+    ``rho0`` is not read: a density matrix has ge = eg^dag) are propagated
+    by :func:`propagate`, which guards the edge populations ee[N, N] and
+    gg[N, N], raises its :class:`OracleError` and logs its debug record
+    labelled with N.  Each state is unpacked to a fresh dense matrix; a
+    time at ``rho0.time`` yields a copy of ``rho0.data``.  No BLAS routine
+    is called, so the matrices do not depend on the BLAS thread count.
+    """
+    times = _requested_times(times, rho0.time)
+    if times.size == 0:
+        return
+    n = rho0.n_fock
+    edges = (n * n - 1, 2 * n * n - 1)  # ee[N, N] and gg[N, N] in the packed vector
+    for t, y in propagate(
+        build_generator(params, n), _pack(rho0.data, n), rho0.time, times,
+        config or IntegratorConfig(), edges, f"N={n - 1}",
+    ):
+        yield t, (rho0.data.copy() if t <= rho0.time else _unpack(y, n))
 
 
 def evolve(

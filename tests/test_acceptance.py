@@ -133,6 +133,37 @@ def test_gate_detects_a_corrupted_amplitude_separation(monkeypatch):
     assert entropy_rows and not entropy_rows[0].passed
 
 
+def _failing(rows):
+    return {r.name for r in rows if not r.passed}
+
+
+def test_gate_detects_a_shifted_coherence_phase_exponent(monkeypatch):
+    # a constant shift of z leaves every derivative, so every residual, alone
+    original = analytic.phase_parts
+
+    def shifted(params, t):
+        parts = original(params, t)
+        return dataclasses.replace(parts, z=parts.z + 1e-4)
+
+    monkeypatch.setattr(analytic, "phase_parts", shifted)
+    assert _failing(acceptance.criterion_6()) == {"c6_disentangle_offdiagonal"}
+
+
+def test_gate_detects_a_shifted_excited_amplitude(monkeypatch):
+    # the shift breaks both factorized flows and adds a constant to the
+    # population-block residual, which then no longer refines at O(h^2)
+    original = analytic.coherent_pair
+
+    def shifted(params, t):
+        pair = original(params, t)
+        return dataclasses.replace(pair, beta_e=pair.beta_e + 1e-5)
+
+    monkeypatch.setattr(analytic, "coherent_pair", shifted)
+    assert _failing(acceptance.criterion_6()) == {
+        "c6_disentangle_diagonal", "c6_disentangle_offdiagonal", "c6_refinement_diagonal"
+    }
+
+
 def test_gate_detects_misplaced_disentanglement_instants(monkeypatch):
     # a shift of 1e-2 puts the oracle concurrence at about 2.4e-3 and the
     # field entropy at about 2.9e-5; the extremum labels do not move

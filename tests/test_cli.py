@@ -670,6 +670,18 @@ def test_verify_without_oracle_loads_neither_optimize_nor_special(tmp_path):
     assert _run_isolated(code, tmp_path).strip() == "[]"
 
 
+def test_verify_without_oracle_propagates_with_one_engine(tmp_path):
+    # c6's flows run on the oracle's Taylor engine, so no scipy propagator loads
+    code = (
+        "import sys, contextlib, io\n"
+        "import dispersive_jcm.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['--mode', 'verify', '--no-oracle']) == 0\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    assert _run_isolated(code, tmp_path).strip() == "False"
+
+
 def test_oracle_trace_loads_no_integrator_optimizer_or_special_functions(tmp_path):
     # the propagator is the package's own; scipy.integrate would bring the rest
     code = (

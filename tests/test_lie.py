@@ -1,10 +1,13 @@
 """Vectorized ladder-algebra machinery and structural verification checks."""
 
+import logging
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import linalg, sparse
+from scipy.sparse.linalg import expm_multiply
 
 from dispersive_jcm import acceptance, lie, oracle
 from dispersive_jcm.lie import SuperOpRep
@@ -167,6 +170,36 @@ def test_c6_calls_no_dense_matrix_exponential(monkeypatch):
 def test_disentangling_guards_against_edge_leakage():
     with pytest.raises(ValueError):
         lie.check_diagonal_disentangling(P111, 1.0, 8)
+
+
+@pytest.mark.parametrize("left, right", [("e", "e"), ("e", "g")])
+def test_block_flows_agree_with_expm_multiply(left, right):
+    # expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011)
+    # is an independent reference for the oracle's Taylor engine
+    dim, t = 40, 1.0
+    rho0 = lie._test_state(P111, dim)
+    flows = lie._block_flows(P111, t, rho0, left, right)
+    for params, flow in zip((P111, replace(P111, drive=0.0)), flows):
+        gen = oracle.field_liouvillian(params, dim, left, right)
+        exact = _unvec(expm_multiply(gen * t, _vec(rho0)), dim)
+        assert np.max(np.abs(flow - exact)) < 1e-13
+
+
+def test_each_c6_flow_logs_one_engine_stats_record(caplog):
+    pattern = re.compile(
+        r"integrated N=39 (e[eg]) block \((driven|free)\) over \[0, 1\]: (\d+) steps, "
+        r"(\d+) RHS evaluations, 1 outputs, max edge population (\S+)$"
+    )
+    with caplog.at_level(logging.DEBUG, logger=oracle.__name__):
+        acceptance.criterion_6()
+    stats = [m for m in (pattern.match(r.getMessage()) for r in caplog.records) if m]
+    assert [m.group(1, 2) for m in stats] == [
+        ("ee", "driven"), ("ee", "free"), ("eg", "driven"), ("eg", "free")
+    ]
+    for m in stats:
+        steps, evaluations = int(m.group(3)), int(m.group(4))
+        assert steps >= 1 and evaluations == 16 * steps
+        assert 0.0 <= float(m.group(5)) <= 1e-8
 
 
 def check_baker_hausdorff(params, x, rep, margin=1):

@@ -222,6 +222,33 @@ def test_coherent_amplitudes_stay_in_the_invariant_disc(params):
         assert abs(beta[0]) == pytest.approx(radius, rel=1e-15)
 
 
+def test_closed_form_matches_the_oracle_at_seeded_draws_across_the_box():
+    # ten fixed draws, not shrunk, since where a draw lands is the physics:
+    # kappa/omega log-uniform in [0.03, 10], f/kappa in [0, 2.5], any drive
+    # phase and any atomic superposition (cos th, sin th e^(i ph)), with 25
+    # times up to min(4 pi, 10/kappa + 4 pi u)
+    rng = np.random.default_rng(2026)
+    failures = []
+    for _ in range(10):
+        kappa = math.exp(rng.uniform(math.log(0.03), math.log(10.0)))
+        f_over_k, drive_phase, th, ph, u = rng.uniform(size=5) * (
+            2.5, 2 * np.pi, np.pi / 2, 2 * np.pi, 1.0
+        )
+        params = ModelParams(1.0, kappa, f_over_k * kappa * np.exp(1j * drive_phase))
+        amps = AtomicAmplitudes(math.cos(th), math.sin(th) * np.exp(1j * ph))
+        times = np.linspace(0.0, min(4 * np.pi, 10.0 / kappa + 4 * np.pi * u), 25)
+        rho0 = oracle.initial_state(params, amps)
+        worst = max(
+            oracle.trace_distance(
+                mat, acceptance.dense_state(analytic.matrix_elements(params, amps, t), rho0.n_fock)
+            )
+            for t, mat in oracle.evolve_trajectory(params, rho0, times)
+        )
+        if not worst < 1e-8:
+            failures.append(f"{params}, {amps}, t <= {times[-1]:.6g}: {worst:.3e}")
+    assert not failures, "; ".join(failures)
+
+
 def test_evolve_excited_atom_keeps_field_coherent():
     amps = AtomicAmplitudes(1.0, 0.0)
     rho0 = oracle.initial_state(P111, amps)
