@@ -130,7 +130,12 @@ def _cexpm1(zv):
     """exp(z) - 1 for complex z without cancellation for small |Re z|."""
     zv = np.asarray(zv, dtype=complex)
     x, y = zv.real, zv.imag
-    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2) ** 2 + 1j * np.exp(x) * np.sin(y)
+    return _cexpm1_parts(x, np.exp(x), np.cos(y), np.sin(y), np.sin(y / 2))
+
+
+def _cexpm1_parts(x, exp_x, cos_y, sin_y, sin_half_y):
+    """exp(x + iy) - 1 from x and the real kernels of x and y, which callers may share."""
+    return np.expm1(x) * cos_y - 2.0 * sin_half_y ** 2 + 1j * exp_x * sin_y
 
 
 def _excited_amplitudes(params: ModelParams, t):
@@ -157,14 +162,22 @@ def _dist_sq(params: ModelParams, t):
     return coherent_pair(params, t).dist_sq
 
 
-def _theta(params: ModelParams, t):
-    """The oscillatory real drive correction, in the direct printed grouping."""
+def _double_rate_kernels(params: ModelParams, t):
+    """The real kernels exp(-2kt), sin(2wt) and cos(2wt)."""
+    w, k = params.omega, params.kappa
+    return np.exp(-2 * k * t), np.sin(2 * w * t), np.cos(2 * w * t)
+
+
+def _theta(params: ModelParams, kernels):
+    """The oscillatory real drive correction, in the direct printed grouping.
+
+    ``kernels`` is :func:`_double_rate_kernels` of (params, t).
+    """
     w, k = params.omega, params.kappa
     F2 = abs(params.drive) ** 2
     w2 = k * k + w * w
-    return F2 / (k * w2) * (
-        np.exp(-2 * k * t) * (k * np.sin(2 * w * t) + w * np.cos(2 * w * t)) - w
-    )
+    decay2, sin2, cos2 = kernels
+    return F2 / (k * w2) * (decay2 * (k * sin2 + w * cos2) - w)
 
 
 def _gamma(params: ModelParams, t):
@@ -187,7 +200,10 @@ def _phi(params: ModelParams, t):
     Array-capable in t.  The five terms -iwt, secular, i theta, gamma and
     the residual are summed left to right into one array, and each
     intermediate is released once it is used, so an array call holds a
-    few arrays of t's size at a time.
+    few arrays of t's size at a time.  Each kernel that several terms use,
+    exp(-2kt), sin(2wt), cos(2wt), sin(wt), exp(-kt) and exp(-2iwt), is
+    evaluated once; :func:`_theta` and :func:`_cexpm1_parts` take the
+    shared ones as arguments.
 
     Every operation keeps the operands and the order of the direct
     expression, and a named array stays named: numpy computes a binary
@@ -213,36 +229,48 @@ def _phi(params: ModelParams, t):
     phi = -1j * w * t
     phi += secular
     del secular
-    phi += 1j * _theta(params, t)
+    # the real kernels that theta, gamma and the residual share, each
+    # evaluated once and released after its last use
+    decay2, sin2, cos2 = _double_rate_kernels(params, t)
+    phi += 1j * _theta(params, (decay2, sin2, cos2))
     # gamma regrouped so both exponentials decay and every term carries a
     # structural factor of omega (sin^2(wt) or w itself), making the
     # omega = 0 limit exactly zero
-    xi = _cexpm1(2 * (1j * w - k) * t)
-    gamma = (2 * F2 / k ** 2) * np.exp(-2 * k * t) * np.sin(w * t) ** 2
+    sin1 = np.sin(w * t)
+    xi = _cexpm1_parts(-2 * k * t, decay2, cos2, sin2, sin1)  # exp(2(iw - k)t) - 1
+    del sin2, cos2
+    gamma = (2 * F2 / k ** 2) * decay2 * sin1 ** 2
     gamma += (F2 * w / (k ** 2 * w2)) * (w * xi.real + k * xi.imag)
     del xi
     phi += gamma
     del gamma
     # the residual drive block, from the bounded products exp(-ct) *
-    # {cosh(ct)-1, sinh(ct)} and their conjugates, and p + q = i eta/c
-    e_cosh = 0.5 * eta ** 2
-    e_cosh_b = 0.5 * np.exp(-2j * w * t) * np.conj(eta) ** 2
+    # {cosh(ct)-1, sinh(ct)} and their conjugates, and p + q = i eta/c.
+    # Each product is formed once its last shared kernel is at hand, so
+    # that kernel is released early: the block holds no more arrays than
+    # when it evaluated each kernel where it used it.
     pq = 1j * eta / c  # p + q, bounded for all t
+    decay1 = np.exp(-k * t)
+    resid = 2j * np.real(pq * decay1 * np.cos(w * t))
+    resid -= 2j * np.imag(pq * decay1 * sin1)
+    del pq, decay1, sin1
+    e_cosh = 0.5 * eta ** 2
+    rotation2 = np.exp(-2j * w * t)
+    e_cosh_b = 0.5 * rotation2 * np.conj(eta) ** 2
     del eta
-    resid = 2j * np.real(pq * np.exp(-k * t) * np.cos(w * t))
-    resid -= 2j * np.imag(pq * np.exp(-k * t) * np.sin(w * t))
-    del pq
+    e_sinh_b = 0.5 * (rotation2 - decay2)
+    del rotation2, decay2
+    e_p_b = (-1j * k / cb ** 2) * e_cosh_b
+    e_p_b += (1j / cb) * e_sinh_b
+    del e_sinh_b
     e_q = -(w / c ** 2) * e_cosh
     e_q -= -(w / cb ** 2) * e_cosh_b
     e_q /= 2j  # exp(-ct) * Im q
+    del e_cosh_b
     e_sinh = 0.5 * (1.0 - np.exp(-2 * c * t))
     e_p = (1j * k / c ** 2) * e_cosh
     e_p -= (1j / c) * e_sinh
     del e_cosh, e_sinh
-    e_sinh_b = 0.5 * (np.exp(-2j * w * t) - np.exp(-2 * k * t))
-    e_p_b = (-1j * k / cb ** 2) * e_cosh_b
-    e_p_b += (1j / cb) * e_sinh_b
-    del e_cosh_b, e_sinh_b
     e_p += e_p_b
     del e_p_b
     e_p /= 2  # exp(-ct) * Re p
@@ -300,7 +328,8 @@ def phase_parts(params: ModelParams, t) -> PhaseParts:
         + (4 * (np.exp(-c * t) - 1.0) - np.exp(-2 * c * t) + 1.0) / (2 * c)
         + 1j * (w / c ** 2) * W ** 2
     )
-    return PhaseParts(z, p, q, _theta(params, t), _gamma(params, t), _phi(params, t))
+    theta = _theta(params, _double_rate_kernels(params, t))
+    return PhaseParts(z, p, q, theta, _gamma(params, t), _phi(params, t))
 
 
 def re_phi_longtime_rate(params: ModelParams) -> float:

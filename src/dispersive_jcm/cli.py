@@ -26,13 +26,23 @@ forms leave the floating-point range exit 2 with one error line instead,
 as does an output path that cannot be written or a grid too large to
 allocate.  Every column of a trace or figure table is
 checked for finiteness before its temp file is opened, then the columns
-are streamed to it in blocks of rows; the writer holds a few blocks, not
-the file or a stacked copy of the table.  Each block is
-formatted by a numpy kernel that writes the bytes of ``"%.16e" % v``
-exactly: Dekker's error-free product (Numer. Math. 18 (1971) 224) gives
-|v| 10**s as an exact double pair, from which the 17 digits are rounded
-half to even as CPython's dtoa rounds them.  Values outside its range,
-zero among them, are formatted one by one with ``%``.
+are streamed to it as bytes in blocks of rows, through a file opened in
+binary mode; the writer holds a few blocks, not the file or a stacked
+copy of the table.
+
+Each block is formatted by a numpy kernel that writes the bytes of
+``"%.16e" % v`` exactly: Dekker's error-free product (Numer. Math. 18
+(1971) 224) gives |v| 10**s as an exact double pair, from which the 17
+digits are rounded half to even as CPython's dtoa rounds them.  Values
+outside its range, zero among them, are formatted with ``%`` in one pass
+over the block.  Each value fills a slot of seven uint32 words: [sign or
+NUL, lead digit, ".", digit], three words of four digits, [three digits,
+"e"], [exponent sign, two exponent digits, separator] and four NULs.
+A block whose columns each keep one sign, and whose values all have two
+exponent digits, takes the copy path: each run of equal-sign columns is
+copied, 23 or 24 bytes per value, into fixed places of its rows.  Any
+other block, such as the one holding t = 0, where zeros sit beside the
+negative Re phi, joins its slots and deletes the NUL bytes.
 """
 
 from __future__ import annotations
@@ -238,18 +248,18 @@ def get_args(argv=None) -> argparse.Namespace:
 
 # ---------------------------------------------------------------- CSV plumbing
 
-#: rows per formatted block of a streamed table; each block's temporaries
-#: stay well under 1 MB
-_BLOCK_ROWS = 512
+#: rows per formatted block of a streamed table; a block of a trace's 13
+#: columns peaks at about 1.5 MiB of temporaries
+_BLOCK_ROWS = 1024
 
 
 def _temp(path: Path) -> Path:
     return path.with_name(path.name + ".tmp")
 
 
-def _write_temp(path: Path, chunks: Iterable[str]) -> None:
-    """Write text chunks with LF endings to ``<path>.tmp``, one at a time."""
-    with open(_temp(path), "w", newline="") as fh:
+def _write_temp(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write byte chunks to ``<path>.tmp``, one at a time."""
+    with open(_temp(path), "wb") as fh:
         for chunk in chunks:
             fh.write(chunk)
 
@@ -271,8 +281,8 @@ def _all_or_nothing(paths: list[Path]):
         raise
 
 
-def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
-    """Write text chunks with LF endings via a temp file renamed into place.
+def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write byte chunks via a temp file renamed into place.
 
     The chunks are consumed one at a time; if one raises, the temp file is
     removed and whatever ``path`` held before stays as it was.
@@ -297,19 +307,24 @@ _POW10 = np.array([float(10**s) for s in range(23)])
 _POW10_HI, _POW10_LO = _veltkamp(_POW10)
 
 # A formatted value fills one 28-byte slot, seven uint32 words of ASCII:
-# [pad, sign, lead digit, "."], four words of four digits,
-# ["e", exponent sign, two exponent digits], [separator, pad x 3].
-# Pad bytes are 0 and are deleted when the slots are joined.
+# [sign or NUL, lead digit, ".", digit], three words of four digits,
+# [three digits, "e"], [exponent sign, two exponent digits, separator],
+# [NUL x 4].  A value with two exponent digits, the standard width, is
+# bytes 1-23 of its slot, or bytes 0-23 when it is negative.
 _HEAD = np.frombuffer(
-    b"".join(b"\0" + sign + b"%d." % d for sign in (b"\0", b"-") for d in range(10)), np.uint32
+    b"".join(sign + b"%d.%d" % divmod(d, 10) for sign in (b"\0", b"-") for d in range(100)),
+    np.uint32,
 )
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
 _DIGITS4 = _DIGITS4.reshape(10000, 4).view(np.uint32).ravel()  # "0000" to "9999"
-_EXPONENT = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-6, 17)), np.uint32)
+_DIGITS3 = np.frombuffer(b"".join(b"%03de" % d for d in range(1000)), np.uint32)  # "000e" to "999e"
+_EXPONENT = np.frombuffer(
+    b"".join(b"%+03d" % e + sep for sep in (b",", b"\n") for e in range(-6, 17)), np.uint32
+)
 
 
-def _format_block(block: np.ndarray) -> str:
-    """The CSV rows of a 2-D block, each value written as :func:`_fmt` writes it.
+def _format_block(columns: list[np.ndarray]) -> bytes:
+    """The CSV rows of equal-length column slices, each value as :func:`_fmt` writes it.
 
     For 1e-6 <= |v| < 1e17 the 17 significant digits are those of
     n = round(|v| 10**s) with s = 16 - floor(log10 |v|), rounded to nearest
@@ -321,10 +336,15 @@ def _format_block(block: np.ndarray) -> str:
     breaks a tie towards even.  No such product lies within 8 of 1e17, so
     hi < 1e17 and n never carries into the next decade.  Zero, the rest
     of the range, non-finite values and the neighbours of a power of ten
-    whose decade log10 misses go through _fmt one by one.
+    whose decade log10 misses go through _fmt, in one pass over them.
+
+    When every column keeps one sign and every text has the standard
+    width, each run of equal-sign columns is copied into its fixed place
+    in the rows (:func:`_copy_rows`); otherwise the slots are joined with
+    their NUL bytes deleted.
     """
-    rows, cols = block.shape
-    x = block.ravel()
+    rows, cols = len(columns[0]), len(columns)
+    x = np.concatenate(columns)  # column after column
     a = np.abs(x)
     inside = (a >= 1e-6) & (a < 1e17)
     a[~inside] = 1.0
@@ -337,6 +357,7 @@ def _format_block(block: np.ndarray) -> str:
     hi = np.take(_POW10, s)
     hi *= a
     a_hi, a_lo = _veltkamp(a)
+    del a
     p_hi = np.take(_POW10_HI, s)
     p_lo = np.take(_POW10_LO, s)
     # lo = |v| 10**s - hi exactly, summed in Dekker's order
@@ -344,53 +365,85 @@ def _format_block(block: np.ndarray) -> str:
     lo += a_hi * p_lo
     lo += a_lo * p_hi
     lo += a_lo * p_lo
-    del a, a_hi, a_lo, p_hi, p_lo
+    del a_hi, a_lo, p_hi, p_lo
     exact = inside & (hi >= 1e16) & (hi < 1e17) & ((hi > 1e16) | (lo >= 0.0))
+    del inside
     n = hi.astype(np.int64)
     n += np.rint(lo).astype(np.int64)
     n[~exact] = 10**16
     exponent = 22 - s  # index into _EXPONENT, which starts at e-06
+    exponent[(cols - 1) * rows:] += 23  # the words that end a row
     del hi, lo, s
 
-    upper = n // 10**8
-    n -= upper * 10**8
-    low8 = n.astype(np.int32)
-    upper = upper.astype(np.int32)
-    lead = upper // 10**8
-    high8 = upper - lead * 10**8
-    lead[x < 0.0] += 10  # the _HEAD words with a minus sign
-    del n, upper
-
-    slots = np.empty((x.size, 7), np.uint32)
-    slots[:, 0] = np.take(_HEAD, lead)
-    for word, group in ((1, high8), (3, low8)):
-        quad = group // 10**4
-        slots[:, word] = np.take(_DIGITS4, quad)
-        group -= quad * 10**4
-        slots[:, word + 1] = np.take(_DIGITS4, group)
-    slots[:, 5] = np.take(_EXPONENT, exponent)
-    slots[:, 6] = ord(",")
-    slots.reshape(rows, cols * 7)[:, -1] = ord("\n")
+    negative = x < 0.0
     fallback = np.flatnonzero(~exact)
-    text = b"".join(
-        (_fmt(v) + ("\n" if (i + 1) % cols == 0 else ",")).encode().ljust(28, b"\0")
-        for i, v in zip(fallback.tolist(), x[fallback].tolist())
-    )
-    slots[fallback] = np.frombuffer(text, np.uint32).reshape(-1, 7)
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+    # a NUL stands in the sign's place of a value without one
+    text = [
+        ("" if v < 0.0 else "\0") + _fmt(v) + ("\n" if last else ",")
+        for v, last in zip(x[fallback].tolist(), (fallback >= (cols - 1) * rows).tolist())
+    ]
+    del x, exact
+
+    # the slot words take the 17 digits as 2 + 4 + 4 + 4 + 3
+    low = n // 1000
+    n -= low * 1000  # digits 15-17
+    top = low // 10**8
+    low -= top * 10**8
+    low = low.astype(np.int32)
+    top = top.astype(np.int32)
+    lead = top // 10**4  # digits 1-2
+    top -= lead * 10**4  # digits 3-6
+    mid = low // 10**4  # digits 7-10
+    low -= mid * 10**4  # digits 11-14
+    lead += 100 * negative  # the _HEAD words with a minus sign
+
+    slots = np.zeros((rows * cols, 7), np.uint32)
+    slots[:, 0] = np.take(_HEAD, lead)
+    slots[:, 1] = np.take(_DIGITS4, top)
+    slots[:, 2] = np.take(_DIGITS4, mid)
+    slots[:, 3] = np.take(_DIGITS4, low)
+    slots[:, 4] = np.take(_DIGITS3, n)
+    slots[:, 5] = np.take(_EXPONENT, exponent)
+    del n, lead, top, mid, low, exponent
+    slots[fallback] = np.array(text, "S28").view(np.uint32).reshape(-1, 7)
+    standard = all(len(t) == 24 for t in text)
+    signs = negative.reshape(cols, rows)
+    if standard and (signs == signs[:, :1]).all():
+        return _copy_rows(slots.view(np.uint8).reshape(cols, rows, 28), signs[:, 0])
+    return slots.reshape(cols, rows, 7).transpose(1, 0, 2).tobytes().translate(None, b"\0")
 
 
-def _csv_blocks(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
-    """The header line, then the text of each block of up to _BLOCK_ROWS rows.
+def _copy_rows(slots: np.ndarray, negative: np.ndarray) -> bytes:
+    """The rows of (cols, rows, 28) byte slots whose values all have the standard width.
 
-    Each block stacks its rows of the equal-length ``columns``, so the
+    Column j's texts are bytes 1-23 of its slots, or 0-23 when
+    ``negative[j]``; each run of equal-sign columns lands in a fixed place
+    of every row, copied as one np.void item per value.
+    """
+    cols, rows, _ = slots.shape
+    out = np.empty((rows, 23 * cols + int(negative.sum())), np.uint8)
+    edges = [0, *(np.flatnonzero(negative[1:] != negative[:-1]) + 1).tolist(), cols]
+    place = 0
+    for first, stop in zip(edges, edges[1:]):
+        width = 24 if negative[first] else 23
+        item = np.dtype((np.void, width))
+        end = place + (stop - first) * width
+        out[:, place:end].view(item)[...] = slots[first:stop, :, 24 - width:24].view(item)[..., 0].T
+        place = end
+    return out.tobytes()
+
+
+def _csv_blocks(header: list[str], columns: list[np.ndarray]) -> Iterator[bytes]:
+    """The header line, then the bytes of each block of up to _BLOCK_ROWS rows.
+
+    Each block takes its slices of the equal-length ``columns``, so the
     whole table is never copied, and :func:`_format_block` writes every
     value as :func:`_fmt` does, byte for byte, holding one block's arrays
-    and text at a time.
+    and bytes at a time.
     """
-    yield ",".join(header) + "\n"
+    yield (",".join(header) + "\n").encode()
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        yield _format_block(np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns]))
+        yield _format_block([c[start:start + _BLOCK_ROWS] for c in columns])
 
 
 def _trace_table(
@@ -475,7 +528,7 @@ def _run_critical(args, params: ModelParams) -> int:
                 )
             )
         )
-    _atomic_write(Path(args.out), ["\n".join(lines) + "\n"])
+    _atomic_write(Path(args.out), [("\n".join(lines) + "\n").encode()])
     return 0
 
 
@@ -484,7 +537,7 @@ def _run_verify(args, config: IntegratorConfig) -> int:
     report = acceptance.format_report(results)
     print(report)
     if args.out:
-        _atomic_write(Path(args.out), ["\n".join(report.splitlines()) + "\n"])
+        _atomic_write(Path(args.out), [("\n".join(report.splitlines()) + "\n").encode()])
     return 0 if all(r.passed for r in results) else 1
 
 

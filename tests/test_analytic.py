@@ -202,6 +202,99 @@ def test_phi_holds_a_few_arrays_of_t():
     assert peak < 10 * 16 * t.size, f"_phi peak {peak / 2**20:.1f} MiB"
 
 
+def _frozen_cexpm1(zv):
+    zv = np.asarray(zv, dtype=complex)
+    x, y = zv.real, zv.imag
+    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2) ** 2 + 1j * np.exp(x) * np.sin(y)
+
+
+def _frozen_theta(params, t):
+    w, k = params.omega, params.kappa
+    F2 = abs(params.drive) ** 2
+    w2 = k * k + w * w
+    return F2 / (k * w2) * (
+        np.exp(-2 * k * t) * (k * np.sin(2 * w * t) + w * np.cos(2 * w * t)) - w
+    )
+
+
+def _frozen_phi(params, t):
+    """The dephasing exponent as written before its kernels were shared.
+
+    Each exponential and trigonometric kernel is evaluated where it is
+    used, so some are evaluated two or three times.  analytic._phi must
+    return the same bits.
+    """
+    w, k, F = params.omega, params.kappa, complex(params.drive)
+    t = np.asarray(t, dtype=float)
+    c = k + 1j * w
+    cb = k - 1j * w
+    F2 = abs(F) ** 2
+    w2 = k * k + w * w
+    eta = _frozen_cexpm1(-c * t)
+    s = eta / c
+    secular = -(2j * w * F2 / c ** 2) * (t + eta * (2.0 - eta) / (2 * c))
+    secular += F2 * ((s * np.conj(s)).real - s * s)
+    del s
+    phi = -1j * w * t
+    phi += secular
+    del secular
+    phi += 1j * _frozen_theta(params, t)
+    xi = _frozen_cexpm1(2 * (1j * w - k) * t)
+    gamma = (2 * F2 / k ** 2) * np.exp(-2 * k * t) * np.sin(w * t) ** 2
+    gamma += (F2 * w / (k ** 2 * w2)) * (w * xi.real + k * xi.imag)
+    del xi
+    phi += gamma
+    del gamma
+    e_cosh = 0.5 * eta ** 2
+    e_cosh_b = 0.5 * np.exp(-2j * w * t) * np.conj(eta) ** 2
+    pq = 1j * eta / c
+    del eta
+    resid = 2j * np.real(pq * np.exp(-k * t) * np.cos(w * t))
+    resid -= 2j * np.imag(pq * np.exp(-k * t) * np.sin(w * t))
+    del pq
+    e_q = -(w / c ** 2) * e_cosh
+    e_q -= -(w / cb ** 2) * e_cosh_b
+    e_q /= 2j
+    e_sinh = 0.5 * (1.0 - np.exp(-2 * c * t))
+    e_p = (1j * k / c ** 2) * e_cosh
+    e_p -= (1j / c) * e_sinh
+    del e_cosh, e_sinh
+    e_sinh_b = 0.5 * (np.exp(-2j * w * t) - np.exp(-2 * k * t))
+    e_p_b = (-1j * k / cb ** 2) * e_cosh_b
+    e_p_b += (1j / cb) * e_sinh_b
+    del e_cosh_b, e_sinh_b
+    e_p += e_p_b
+    del e_p_b
+    e_p /= 2
+    resid -= 4 * (e_q + 1j * e_p)
+    del e_q, e_p
+    resid *= F2 / k
+    phi += resid
+    return phi
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(
+        ModelParams,
+        st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+        st.floats(0.01, 10.0),
+        st.one_of(
+            st.floats(0.0, 5.0),
+            st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+        ),
+    ),
+    st.floats(0.0, 80.0),
+    st.sampled_from([None, 1, 2, 33, 4097, 40001]),
+)
+def test_phi_equals_the_frozen_expression_bit_for_bit(params, t_max, points):
+    # every kernel is evaluated once and shared; the bits must not move.
+    # At 40001 points the real and complex temporaries lie above numpy's
+    # 256 KiB threshold for computing in place, at 4097 below it
+    t = t_max if points is None else np.linspace(0.0, t_max, points)
+    np.testing.assert_array_equal(_bits(analytic._phi(params, t)), _bits(_frozen_phi(params, t)))
+
+
 def test_phase_parts_all_vanish_at_t_zero():
     parts = analytic.phase_parts(P111, 0.0)
     assert parts.z == 0.0 and parts.p == 0.0 and parts.q == 0.0

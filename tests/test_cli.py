@@ -16,6 +16,7 @@ import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def _assert_kernel_writes_percent(values):
     values = np.asarray(values, dtype=float)
     for block in (values.reshape(-1, 1), values.reshape(1, -1)):
         expected = "".join(",".join("%.16e" % (v + 0.0) for v in row) + "\n" for row in block)
-        assert cli._format_block(block) == expected
+        assert cli._format_block(list(block.T)) == expected.encode()
 
 
 def _from_bits(bits):
@@ -312,9 +313,123 @@ def test_block_kernel_formats_window_values_without_the_fallback(monkeypatch):
         return percent(value)
 
     monkeypatch.setattr(cli, "_fmt", outside_window_only)
-    text = cli._format_block(table)
-    assert seen == [v for _, _, v in outside]
-    assert text == _reference_csv([], table).decode()[1:]
+    text = cli._format_block(list(table.T))
+    # the kernel takes the columns one after another
+    assert seen == [v for _, _, v in sorted(outside, key=lambda o: (o[1], o[0]))]
+    assert text == _reference_csv([], table)[1:]
+
+
+def _kernel_bytes_and_copies(table):
+    """The kernel's bytes for a 2-D table and the number of blocks it copied row by row."""
+    with mock.patch.object(cli, "_copy_rows", wraps=cli._copy_rows) as copy_rows:
+        text = cli._format_block(list(table.T))
+    return text, copy_rows.call_count
+
+
+def _window_table(seed, rows, signs):
+    """Values in the kernel's window, column j of sign signs[j]."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, len(signs))
+    return rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(-6, 17, shape) * signs
+
+
+_TRACE_SIGNS = [1.0] * 6 + [-1.0] + [1.0] * 6  # re_phi is the one negative column
+_COLUMN_SIGNS = {
+    "positive": [1.0] * 13,
+    "negative": [-1.0] * 13,
+    "alternating": [(-1.0) ** j for j in range(13)],
+    "trace": _TRACE_SIGNS,
+    "one column": [-1.0],
+}
+
+
+@pytest.mark.parametrize("signs", list(_COLUMN_SIGNS.values()), ids=list(_COLUMN_SIGNS))
+@pytest.mark.parametrize("rows", [1, 2, 37])
+def test_columns_of_one_sign_take_the_copy_path(signs, rows):
+    table = _window_table(rows, rows, signs)
+    # fallbacks with two exponent digits keep the copy path: zeros in a
+    # positive column, and tiny or huge values of the column's sign
+    for j, sign in enumerate(signs):
+        table[j % rows, j] = sign * [3e-7, 2.5e17, 1e-99, 9.999999999999999e-7][j % 4]
+        if sign > 0 and j % 3 == 0:
+            table[(j + 1) % rows, j] = [0.0, -0.0][j % 2]
+    text, copies = _kernel_bytes_and_copies(table)
+    assert text == _reference_csv([], table)[1:]
+    assert copies == 1
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 2.5, 1e-7], ids=["zero", "-0.0", "flip", "tiny flip"])
+def test_a_zero_or_a_sign_flip_inside_a_negative_column_takes_the_translate_path(value):
+    table = _window_table(3, 40, _TRACE_SIGNS)
+    table[17, 6] = value
+    text, copies = _kernel_bytes_and_copies(table)
+    assert text == _reference_csv([], table)[1:]
+    assert copies == 0
+
+
+@pytest.mark.parametrize("value", [1e-120, -1e-120, 3e150, -3e150, 5e-324])
+def test_a_three_digit_exponent_in_a_column_of_one_sign_takes_the_translate_path(value):
+    table = _window_table(4, 40, [math.copysign(1.0, value)] * 13)
+    table[23, 4] = value
+    text, copies = _kernel_bytes_and_copies(table)
+    assert text == _reference_csv([], table)[1:]
+    assert copies == 0
+
+
+def test_powers_of_ten_and_their_neighbours_take_the_copy_path_in_a_row():
+    powers = [10.0**k for k in range(-6, 17)]
+    values = powers + [math.nextafter(p, d) for p in powers for d in (0.0, math.inf)]
+    for sign in (1.0, -1.0):
+        table = sign * np.array([values])
+        text, copies = _kernel_bytes_and_copies(table)
+        assert text == _reference_csv([], table)[1:]
+        assert copies == 1
+
+
+# magnitudes whose texts have two exponent digits: the kernel's window,
+# zero, and the fallbacks on either side of it
+_standard_magnitudes = st.one_of(
+    _window_values.map(abs),
+    st.just(0.0),
+    st.floats(1e-99, 1e-6, exclude_max=True),
+    st.floats(1e17, 9.9e99),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.lists(st.sampled_from([1.0, -1.0]), min_size=1, max_size=8), st.data())
+def test_block_kernel_copy_path_matches_percent_formatting(rows, signs, data):
+    magnitudes = data.draw(st.lists(_standard_magnitudes, min_size=rows * len(signs),
+                                    max_size=rows * len(signs)))
+    table = np.array(magnitudes).reshape(rows, len(signs)) * signs
+    text, copies = _kernel_bytes_and_copies(table)
+    assert text == _reference_csv([], table)[1:]
+    # zero is written without a sign, so a zero beside negative values in
+    # a column sends the block to the translate path
+    negative = table < 0.0
+    assert copies == int((negative == negative[:1]).all())
+
+
+@pytest.mark.parametrize("rows_past", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (2, 1)])
+def test_the_copy_path_at_block_boundaries(rows_past):
+    blocks, extra = rows_past
+    rows = blocks * cli._BLOCK_ROWS + extra
+    table = _window_table(rows, rows, _TRACE_SIGNS)
+    table[0, 6] = -1e-120  # three exponent digits: the first block takes the translate path
+    header = list(cli.TRACE_COLUMNS)
+    with mock.patch.object(cli, "_copy_rows", wraps=cli._copy_rows) as copy_rows:
+        chunks = list(cli._csv_blocks(header, list(table.T)))
+    assert b"".join(chunks) == _reference_csv(header, table)
+    assert len(chunks) == 1 + -(-rows // cli._BLOCK_ROWS)
+    assert copy_rows.call_count == len(chunks) - 2
+
+
+def test_a_long_trace_copies_every_block_but_the_first(tmp_path):
+    points = 100001
+    out = tmp_path / "t.csv"
+    with mock.patch.object(cli, "_copy_rows", wraps=cli._copy_rows) as copy_rows:
+        assert cli.main(["--mode", "trace", "--points", str(points), "--out", str(out)]) == 0
+    assert copy_rows.call_count == -(-points // cli._BLOCK_ROWS) - 1
 
 
 @pytest.mark.parametrize("ncols", [13, 19])
@@ -327,7 +442,7 @@ def test_block_writer_matches_per_value_formatting(tmp_path, rows, ncols):
         table[r] = np.resize(np.roll(special, r), ncols)
     header = [f"c{j}" for j in range(ncols)]
     chunks = list(cli._csv_blocks(header, list(table.T)))
-    assert [c.count("\n") for c in chunks[1:]] == [
+    assert [c.count(b"\n") for c in chunks[1:]] == [
         min(cli._BLOCK_ROWS, rows - start) for start in range(0, rows, cli._BLOCK_ROWS)
     ]
     out = tmp_path / "table.csv"
