@@ -9,7 +9,9 @@ module verifies that machinery on truncated matrix representations:
   closed-form solutions substituted back in via central differences,
 * the two disentangled-exponential identities (population block and
   coherence block) against brute-force propagation of the block
-  Liouvillian by :func:`.oracle.propagate`, the oracle's Taylor engine.
+  Liouvillian by :func:`.oracle.propagate`, the oracle's Taylor engine,
+  with that Liouvillian's compiled sparse product
+  (:func:`.oracle.matvec_into`).
 
 The closed forms come from :mod:`.analytic`'s public records
 :func:`.analytic.coherent_pair` and :func:`.analytic.phase_parts`.
@@ -254,18 +256,21 @@ def _block_flows(params: ModelParams, t: float, rho0: np.ndarray, left: str, rig
     """exp(L t) rho0 for one field block, driven and undriven, as matrices.
 
     Each flow is one :func:`.oracle.propagate` run on the column-stacked
-    block with the Liouvillian of :func:`.oracle.field_liouvillian`, at
-    the fixed tolerances ``_FLOW_CONFIG`` whatever the integrator options.
+    block with the compiled sparse product (:func:`.oracle.matvec_into`)
+    of the Liouvillian of :func:`.oracle.field_liouvillian`, at the fixed
+    tolerances ``_FLOW_CONFIG`` whatever the integrator options.
     Raises ValueError when a flow fails, as when it puts more than 1e-8 on
     the Fock edge rho[N, N] at the end of a step.
     """
     dim = rho0.shape[0]
     flows = []
     for drive, name in ((params.drive, "driven"), (0.0, "free")):
-        gen = oracle.field_liouvillian(replace(params, drive=drive), dim, left, right)
+        matvec = oracle.matvec_into(
+            oracle.field_liouvillian(replace(params, drive=drive), dim, left, right)
+        )
         try:
             ((_, state),) = oracle.propagate(
-                gen.__matmul__, _vec(rho0), 0.0, t, _FLOW_CONFIG, (dim * dim - 1,),
+                matvec, _vec(rho0), 0.0, t, _FLOW_CONFIG, (dim * dim - 1,),
                 f"N={dim - 1} {left}{right} block ({name})",
             )
         except oracle.OracleError as err:

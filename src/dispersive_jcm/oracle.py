@@ -12,10 +12,12 @@ excited-excited, ground-ground and excited-ground field blocks of the
 joint state evolve independently (the ground-excited block is the adjoint
 of the excited-ground one).  The propagator therefore carries the three
 blocks column-stacked in one packed vector of 3(N+1)^2 entries and
-applies one block-diagonal sparse Liouvillian per Taylor term; dense
-joint matrices are rebuilt only at the requested times.  Measurement
-functions accept one joint matrix or a stack of them (a leading batch
-axis), so :func:`series` extracts its columns a stack at a time.
+applies one block-diagonal sparse Liouvillian per Taylor term: scipy's
+compiled CSR kernel writes each term straight into its row of the step's
+buffer.  Dense joint matrices are rebuilt only at the requested times.
+Measurement functions accept one joint matrix or a stack of them (a
+leading batch axis), so :func:`series` extracts its columns a stack at a
+time.
 
 Basis convention: the joint space is (atom) tensor (Fock), atom index
 major, with atomic index 0 = excited and 1 = ground.  A joint matrix is
@@ -50,6 +52,7 @@ __all__ = [
     "joint_matrix",
     "initial_state",
     "field_liouvillian",
+    "matvec_into",
     "build_generator",
     "propagate",
     "evolve",
@@ -74,15 +77,17 @@ class OracleError(RuntimeError):
 MEMORY_BUDGET_BYTES = 1 << 30
 
 # The plan for one integration is 3 * _PACKED_COPIES + 4 * _DENSE_COPIES
-# complex entries per (N+1)^2.  Alive at its peak: the sparse generator
-# (about 8 packed states of 3(N+1)^2 entries), the 17 Taylor terms of a
-# step with the step end, one evaluation chunk (two states up to N = 208,
-# one above) and the step's temporaries (about 21 to 22), and the dense
-# 2(N+1)-square matrices of one extracted point; the generator's build
-# temporaries peak lower.  The plan is the tracemalloc peak of an
-# integration with extraction, within a few percent, for N from 190 to 250:
-# 101.7 entries per (N+1)^2 up to N = 208 and 98.7 above, against 101.
-# The budget then admits N up to 814.
+# complex entries per (N+1)^2.  Alive at its peak, while a point is
+# extracted: the sparse generator (about 8 packed states of 3(N+1)^2
+# entries), the 17 Taylor terms of a step with the step end and its
+# step-size weights, one evaluation chunk (two states up to N = 208, one
+# above) and the dense 2(N+1)-square matrices of one extracted point.  A
+# step's own temporaries (the norms of its last two terms, one packed
+# state: each term is written into its row of the buffer) and the
+# generator's build temporaries peak lower.  The plan is the tracemalloc
+# peak of a :func:`series` integration with extraction, within a few
+# percent, for N from 190 to 250: 102.7 entries per (N+1)^2 up to N = 208
+# and 99.7 above, against 101.  The budget then admits N up to 814.
 _PACKED_COPIES = 23
 _DENSE_COPIES = 8
 
@@ -393,6 +398,53 @@ def field_liouvillian(params: ModelParams, n_fock: int, left: str, right: str):
     return _liouvillian(params, n_fock, [(left, right)])
 
 
+# scipy's compiled CSR product y += A x, imported by :func:`matvec_into` on
+# first use, so that importing the package loads no scipy submodule
+_CSR_MATVEC = None
+
+
+def matvec_into(liouvillian):
+    """The map (y, out) -> out += L y of a CSR matrix L, by scipy's compiled kernel.
+
+    The kernel is ``scipy.sparse._sparsetools.csr_matvec``, the one that
+    ``L @ y`` runs on a freshly zeroed result, so a zeroed ``out`` receives
+    the bits of ``L @ y`` without a new array.  L is checked once, here:
+    CSR with complex128 data and both index arrays of one dtype, or
+    ValueError.  Each call checks the lengths of y and ``out``, which the
+    kernel reads and writes unchecked, and raises ValueError on a mismatch;
+    ``out`` must be complex128.
+    """
+    global _CSR_MATVEC
+    if not (
+        scipy.sparse.issparse(liouvillian)
+        and liouvillian.format == "csr"
+        and liouvillian.dtype == np.complex128
+        and liouvillian.indptr.dtype == liouvillian.indices.dtype
+    ):
+        raise ValueError(
+            "expected a CSR matrix with complex128 data and one index dtype, got "
+            f"{type(liouvillian).__name__} of dtype {getattr(liouvillian, 'dtype', None)}"
+        )
+    if _CSR_MATVEC is None:
+        from scipy.sparse._sparsetools import csr_matvec
+
+        _CSR_MATVEC = csr_matvec
+    kernel = _CSR_MATVEC
+    rows, cols = liouvillian.shape
+    indptr, indices, data = liouvillian.indptr, liouvillian.indices, liouvillian.data
+    shapes = (cols,), (rows,)
+
+    def matvec(y: np.ndarray, out: np.ndarray) -> None:
+        if (y.shape, out.shape) != shapes:
+            raise ValueError(
+                f"a {rows} x {cols} matrix maps {shapes[0]} into {shapes[1]}, "
+                f"got {y.shape} into {out.shape}"
+            )
+        kernel(rows, cols, indptr, indices, data, y, out)
+
+    return matvec
+
+
 def build_generator(params: ModelParams, n_fock: int):
     """Right-hand side of the master equation as a map on packed field blocks.
 
@@ -400,15 +452,11 @@ def build_generator(params: ModelParams, n_fock: int):
     with H = w[(a_dag a + 1) P_e - a_dag a P_g] + (F a_dag + conj(F) a).
     The ee, gg and eg Liouvillians (see :func:`field_liouvillian`) form one
     block-diagonal sparse matrix L acting on [vec ee, vec gg, vec eg] (see
-    :func:`_pack`), built by one call of :func:`_liouvillian`.  Returns
-    y -> L y, one sparse matvec per evaluation.
+    :func:`_pack`), built by one call of :func:`_liouvillian`.  Returns the
+    map (y, out) -> out += L y of :func:`matvec_into`, one compiled sparse
+    product per evaluation.
     """
-    liouvillian = _liouvillian(params, n_fock, ("ee", "gg", "eg"))
-
-    def generator(y: np.ndarray) -> np.ndarray:
-        return liouvillian @ y
-
-    return generator
+    return matvec_into(_liouvillian(params, n_fock, ("ee", "gg", "eg")))
 
 
 def _pack(rho: np.ndarray, n_fock: int) -> np.ndarray:
@@ -429,11 +477,14 @@ def _edge_population(rho: np.ndarray, n_fock: int) -> float:
 
 
 def _weighted_rms(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """RMS of |x| / scale along the last axis, by ufuncs and pairwise sums (no BLAS call)."""
+    """RMS of |x| / scale along the last axis, by ufuncs and pairwise sums (no BLAS call).
+
+    The mean is np.mean's own sum and division, without its Python wrapper.
+    """
     ratio = np.abs(x)
     ratio /= scale
     ratio *= ratio
-    return np.sqrt(np.mean(ratio, axis=-1))
+    return np.sqrt(np.add.reduce(ratio, axis=-1) / x.shape[-1])
 
 
 def _taylor_values(terms: np.ndarray, offsets: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -463,20 +514,24 @@ def _requested_times(times, t0: float) -> np.ndarray:
 
 def propagate(generator, y0: np.ndarray, t0: float, times, config: IntegratorConfig, edges,
               label: str):
-    """Yield (t, exp((t - t0) L) y0) at each requested time, for the map generator: y -> L y.
+    """Yield (t, exp((t - t0) L) y0) at each requested time; generator(y, out) adds L y to out.
 
     The package's one propagation engine: the Taylor series of exp(hL) cut
     at degree 16 (Moler & Van Loan, SIAM Rev. 45, 3, 2003; Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 488, 2011).  ``times`` must be finite,
+    Higham, SIAM J. Sci. Comput. 33, 488, 2011).  ``generator`` is the map
+    of :func:`matvec_into` (or of :func:`build_generator`), and ``y0`` a
+    1-D complex128 array, or ValueError.  ``times`` must be finite,
     non-decreasing and start at or after ``t0``.  A step from state y
-    computes the terms L^k y / k!, one generator call each, and takes the
-    largest h for which the last two, times h^15 and h^16, have weighted
-    RMS norm at most 1, with weights abs_tol + rel_tol |y|.  The step size
-    comes from terms already computed, so no step is rejected.  The step
-    end and every requested time inside the step are evaluated together,
-    as sums of the terms times the powers of each offset, in chunks of at
-    most 16 states or 4 MiB (one state when a state is larger), and the
-    last step ends exactly on the last time.  No BLAS routine is called.
+    zeroes its term rows 1 to 16 with one fill, then computes the terms
+    L^k y / k!, one generator call into row k each, scaled in place by
+    1/k, and takes the largest h for which the last two, times h^15 and
+    h^16, have weighted RMS norm at most 1, with weights abs_tol + rel_tol
+    |y|.  The step size comes from terms already computed, so no step is
+    rejected.  The step end and every requested time inside the step are
+    evaluated together, as sums of the terms times the powers of each
+    offset, in chunks of at most 16 states or 4 MiB (one state when a
+    state is larger), and the last step ends exactly on the last time.  No
+    BLAS routine is called.
 
     A time at ``t0`` yields ``y0`` itself and any later time a view that
     the next state overwrites, so a caller that keeps a state copies it.
@@ -487,6 +542,9 @@ def propagate(generator, y0: np.ndarray, t0: float, times, config: IntegratorCon
     record: ``label``, the span, steps, generator calls (16 per step),
     points evaluated and the largest edge modulus seen.
     """
+    y0 = np.asarray(y0)
+    if y0.ndim != 1 or y0.dtype != np.complex128:
+        raise ValueError(f"expected a 1-D complex128 state, got {y0.ndim}-D {y0.dtype}")
     times = _requested_times(times, t0)
     ptr = 0
     # emit any points sitting exactly at the start
@@ -508,10 +566,15 @@ def propagate(generator, y0: np.ndarray, t0: float, times, config: IntegratorCon
     steps = outputs = 0
     max_edge = 0.0
     while ptr < times.size:
+        # the generator adds into its output row
+        terms[1:] = 0.0
         for k in range(1, m + 1):
+            generator(terms[k - 1], terms[k])
             # a real product with 1/k: a complex product, or any division, is slower
-            np.multiply(generator(terms[k - 1]).view(float), 1.0 / k, out=terms[k].view(float))
-        scale = config.rel_tol * np.abs(terms[0])
+            row = terms[k].view(float)
+            np.multiply(row, 1.0 / k, out=row)
+        scale = np.abs(terms[0])
+        scale *= config.rel_tol
         scale += config.abs_tol
         # 1/rate is the largest h with h^(m-1) |T_(m-1)| <= 1 and h^m |T_m| <= 1
         last, final = _weighted_rms(terms[m - 1:], scale)
@@ -564,7 +627,8 @@ def evolve_trajectory(
     ``rho0.time``; they are checked before the generator is built.  The
     packed field blocks of :func:`build_generator` (the ge block of
     ``rho0`` is not read: a density matrix has ge = eg^dag) are propagated
-    by :func:`propagate`, which guards the edge populations ee[N, N] and
+    by :func:`propagate` with that generator, the block Liouvillian's
+    compiled sparse product; the engine guards the edge populations ee[N, N] and
     gg[N, N], raises its :class:`OracleError` and logs its debug record
     labelled with N.  Each state is unpacked to a fresh dense matrix; a
     time at ``rho0.time`` yields a copy of ``rho0.data``.  No BLAS routine

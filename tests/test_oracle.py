@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.special import pdtrc
 
-from dispersive_jcm import acceptance, analytic, oracle
+from dispersive_jcm import acceptance, analytic, lie, oracle
 from dispersive_jcm.model import AtomicAmplitudes, ModelParams, make_params
 
 P111 = ModelParams(1.0, 1.0, 1.0)
@@ -287,18 +288,13 @@ def test_each_finished_integration_logs_one_stats_record(caplog, monkeypatch):
         r"evaluations, (\d+) outputs, max edge population (\S+)$"
     )
     calls = []
-    build = oracle.build_generator
 
-    def counting(params, n_fock):
-        gen = build(params, n_fock)
+    def counting(rows, cols, indptr, indices, data, y, out):
+        calls.append(y.shape)
+        csr_matvec(rows, cols, indptr, indices, data, y, out)
 
-        def counted(y):
-            calls.append(y.shape)
-            return gen(y)
-
-        return counted
-
-    monkeypatch.setattr(oracle, "build_generator", counting)
+    # each generator built from here on calls the counting kernel
+    monkeypatch.setattr(oracle, "_CSR_MATVEC", counting)
     params = make_params(0.2, 1.0)
     rho0 = oracle.initial_state(params, BALANCED)
     times = np.linspace(0.0, 2.0, 9)
@@ -316,10 +312,119 @@ def test_each_finished_integration_logs_one_stats_record(caplog, monkeypatch):
         assert int(m.group(1)) == rho0.n_fock - 1
         assert (float(m.group(2)), float(m.group(3))) == (0.0, t_end)
         steps, evaluations, outputs = (int(m.group(i)) for i in range(4, 7))
-        # sixteen generator calls per step, and no step is ever rejected
+        # sixteen kernel calls per step, and no step is ever rejected
         assert steps >= 1 and evaluations == 16 * steps
         assert outputs == emitted
         assert 0.0 <= float(m.group(7)) <= 1e-8
+
+
+def _frozen_propagate(liouvillian, y0, t0, times, config):
+    """The engine's steps with each term computed as L @ y, then the real product with 1/k.
+
+    A frozen copy of the step loop from before the compiled kernel wrote
+    the terms in place, with its chunked evaluation and without the edge
+    guard; the engine must give the same bits.
+    """
+    m = oracle._TAYLOR_DEGREE
+    times = np.asarray(times, dtype=float)
+    out = [y0.copy() for t in times if t <= t0]
+    ptr = len(out)
+    terms = np.empty((m + 1, y0.size), complex)
+    terms[0] = y0
+    rows = max(1, min(16, (1 << 22) // terms[0].nbytes, times.size - ptr + 1))
+    values = np.empty((rows, 2 * y0.size))
+    t, t_last = t0, float(times[-1])
+    while ptr < times.size:
+        for k in range(1, m + 1):
+            np.multiply((liouvillian @ terms[k - 1]).view(float), 1.0 / k, out=terms[k].view(float))
+        scale = config.rel_tol * np.abs(terms[0])
+        scale += config.abs_tol
+        ratio = np.abs(terms[m - 1:])
+        ratio /= scale
+        ratio *= ratio
+        last, final = np.sqrt(np.mean(ratio, axis=-1))
+        rate = float(max(last ** (1.0 / (m - 1)), final ** (1.0 / m)))
+        t_next = t_last if rate * (t_last - t) <= 1.0 else t + 1.0 / rate
+        stop = int(np.searchsorted(times, t_next, side="right"))
+        offsets = np.concatenate(([t_next - t], times[ptr:stop] - t))
+        states = []
+        for first in range(0, offsets.size, rows):
+            chunk = offsets[first : first + rows]
+            powers = np.power.outer(chunk, np.arange(m + 1, dtype=float))
+            np.einsum("pk,kd->pd", powers, terms.view(float), out=values[: chunk.size])
+            states.extend(row.view(complex).copy() for row in values[: chunk.size])
+        out.extend(states[1:])
+        terms[0] = states[0]
+        ptr, t = stop, t_next
+    return out
+
+
+def _bits(states):
+    return np.array([state.view(np.uint64) for state in states])
+
+
+@pytest.mark.parametrize("k_over_omega, f_over_k", acceptance.PARAMETER_SETS)
+def test_the_engine_gives_the_bits_of_the_frozen_step_loop(k_over_omega, f_over_k):
+    params = make_params(k_over_omega, f_over_k)
+    rho0 = oracle.initial_state(params, BALANCED)
+    n = rho0.n_fock
+    y0 = oracle._pack(rho0.data, n)
+    # t = 0, times inside steps, a repeated time and a last step cut short
+    times = [0.0, 0.004, 0.05, 0.05, 0.31, 0.6]
+    config = oracle.IntegratorConfig()
+    got = [
+        y.copy()
+        for _, y in oracle.propagate(
+            oracle.build_generator(params, n), y0, 0.0, times, config, (n * n - 1,), "bits"
+        )
+    ]
+    liouvillian = oracle._liouvillian(params, n, ("ee", "gg", "eg"))
+    want = _frozen_propagate(liouvillian, y0, 0.0, times, config)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_a_complex_drive_gives_the_bits_of_the_frozen_step_loop():
+    params = ModelParams(1.0, 0.7, 0.2 - 0.15j)
+    rho0 = oracle.initial_state(params, AtomicAmplitudes(0.6, 0.8j), n_fock=12)
+    times = [0.0, 1e-4, 0.7, 0.7, 1.9]
+    got = [mat for _, mat in oracle.evolve_trajectory(params, rho0, times)]
+    liouvillian = oracle._liouvillian(params, 12, ("ee", "gg", "eg"))
+    want = _frozen_propagate(
+        liouvillian, oracle._pack(rho0.data, 12), 0.0, times, oracle.IntegratorConfig()
+    )
+    assert np.array_equal(_bits(oracle._pack(mat, 12) for mat in got), _bits(want))
+
+
+def test_a_lie_block_flow_gives_the_bits_of_the_frozen_step_loop():
+    dim = 40
+    rho0 = 0.5 * lie._test_state(P111, dim)
+    driven, free = lie._block_flows(P111, 1.0, rho0, "e", "g")
+    for flow, drive in ((driven, P111.drive), (free, 0.0)):
+        liouvillian = oracle.field_liouvillian(ModelParams(1.0, 1.0, drive), dim, "e", "g")
+        (want,) = _frozen_propagate(liouvillian, lie._vec(rho0), 0.0, [1.0], lie._FLOW_CONFIG)
+        assert np.array_equal(lie._vec(flow).view(np.uint64), want.view(np.uint64))
+
+
+def test_the_compiled_product_refuses_what_its_kernel_cannot_read():
+    good = oracle.field_liouvillian(P111, 5, "e", "g")
+    mixed = good.copy()
+    mixed.indptr = mixed.indptr.astype(np.int64)
+    for bad in (good.tocsc(), good.astype(np.complex64), good.real.tocsr(), good.toarray(), mixed):
+        with pytest.raises(ValueError, match="CSR matrix with complex128 data"):
+            oracle.matvec_into(bad)
+    matvec = oracle.matvec_into(good)
+    y = np.ones(25, complex)
+    with pytest.raises(ValueError, match=r"got \(24,\) into \(25,\)"):
+        matvec(y[:24], np.zeros(25, complex))
+    with pytest.raises(ValueError, match=r"got \(25,\) into \(26,\)"):
+        matvec(y, np.zeros(26, complex))
+    config = oracle.IntegratorConfig()
+    for state in (np.ones(25), np.ones(25, np.complex64), np.ones((5, 5), complex)):
+        with pytest.raises(ValueError, match="1-D complex128 state"):
+            next(oracle.propagate(matvec, state, 0.0, [0.1], config, (24,), "bad"))
+    # a state of the wrong length is refused at the first term, not read past its end
+    with pytest.raises(ValueError, match=r"got \(16,\) into \(16,\)"):
+        next(oracle.propagate(matvec, np.ones(16, complex), 0.0, [0.1], config, (15,), "bad"))
 
 
 def test_trajectory_validates_time_ordering():
@@ -330,11 +435,18 @@ def test_trajectory_validates_time_ordering():
         list(oracle.evolve_trajectory(P111, rho0, [1.0, 0.5]))
 
 
+def _apply(generator, y):
+    """L y from a generator (y, out) -> out += L y, into a fresh zeroed array."""
+    out = np.zeros_like(y)
+    generator(y, out)
+    return out
+
+
 def test_stationary_dense_state_is_a_generator_fixed_point():
     n = 40
     stat = acceptance.dense_state(analytic.stationary_state(P111, BALANCED), n)
     gen = oracle.build_generator(P111, n)
-    assert float(np.max(np.abs(gen(oracle._pack(stat, n))))) < 1e-10
+    assert float(np.max(np.abs(_apply(gen, oracle._pack(stat, n))))) < 1e-10
 
 
 def _dense_master_rhs(params, rho):
@@ -364,7 +476,7 @@ def test_block_generator_matches_the_dense_master_equation():
     assert packed.shape == (3 * n * n,)
     assert np.array_equal(oracle._unpack(packed, n), rho)
     expected = _dense_master_rhs(params, rho)
-    got = oracle._unpack(gen(packed), n)
+    got = oracle._unpack(_apply(gen, packed), n)
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
@@ -497,7 +609,7 @@ def test_block_generator_is_the_block_diagonal_of_the_field_liouvillians(params,
     rng = np.random.default_rng(n_fock)
     y = rng.normal(size=3 * n_fock**2) + 1j * rng.normal(size=3 * n_fock**2)
     joined = scipy.sparse.block_diag(blocks, format="csr")
-    assert np.array_equal(oracle.build_generator(params, n_fock)(y), joined @ y)
+    assert np.array_equal(_apply(oracle.build_generator(params, n_fock), y), joined @ y)
 
 
 def test_a_step_holding_more_times_than_a_chunk_yields_each_in_order(monkeypatch, caplog):
@@ -534,11 +646,11 @@ def test_the_evaluation_buffer_does_not_grow_with_the_times_in_a_step(monkeypatc
         gen = build(params, n_fock)
         memory["built"] = tracemalloc.get_traced_memory()[0]
 
-        def marked(y):
+        def marked(y, out):
             if "first call" not in memory:
                 memory["first call"] = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-            return gen(y)
+            gen(y, out)
 
         return marked
 
@@ -555,8 +667,9 @@ def test_the_evaluation_buffer_does_not_grow_with_the_times_in_a_step(monkeypatc
     # before the first step: the terms, one evaluation chunk and the step end
     buffer = memory["first call"] - memory["built"] - terms
     assert 3 * packed <= buffer <= oracle._STACK_BYTES + packed + packed // 8
-    # after it, only the step's temporaries (generator output, step-size
-    # norms) and the emitted matrices in flight, not one state per time
+    # after it, only the step's temporaries (step-size norms) and the
+    # emitted matrices in flight, not one state per time: each term is
+    # written into its row of the buffer
     assert peak - memory["first call"] < 5 * packed
 
 
