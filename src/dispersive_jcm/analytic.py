@@ -11,8 +11,9 @@ instants where the field disentangles or its entropy turns over.
 All operations are pure functions of ``(params, t)`` and accept scalar or
 array ``t``, apart from :func:`matrix_elements`, which takes scalar ``t``.
 The records :func:`coherent_pair` and :func:`phase_parts` hold numpy
-scalars for scalar ``t`` and arrays for array ``t``; they are the public
-way into the amplitude and dephasing kernels below.
+scalars for scalar ``t`` and arrays for array ``t``.  :func:`coherent_pair`
+is the one kernel of the conditioned amplitudes; :func:`phase_parts` is
+the public way into the dephasing kernels below.
 """
 
 from __future__ import annotations
@@ -138,30 +139,6 @@ def _cexpm1_parts(x, exp_x, cos_y, sin_y, sin_half_y):
     return np.expm1(x) * cos_y - 2.0 * sin_half_y ** 2 + 1j * exp_x * sin_y
 
 
-def _excited_amplitudes(params: ModelParams, t):
-    """The excited conditioned amplitudes beta_e and beta_e'; array-capable in t."""
-    w, k, F = params.omega, params.kappa, complex(params.drive)
-    c = k + 1j * w
-    decay_e = np.exp(-c * t)
-    be = F / (w - 1j * k) * (decay_e - 1.0)
-    return be, be - 1j * (F / k) * decay_e
-
-
-def _amplitudes(params: ModelParams, t):
-    """All four conditioned amplitudes; array-capable in t."""
-    w, k, F = params.omega, params.kappa, complex(params.drive)
-    cb = k - 1j * w
-    be, bep = _excited_amplitudes(params, t)
-    decay_g = np.exp(-cb * t)
-    bg = -F / (w + 1j * k) * (decay_g - 1.0)
-    bgp = bg - 1j * (F / k) * decay_g
-    return be, bg, bep, bgp
-
-
-def _dist_sq(params: ModelParams, t):
-    return coherent_pair(params, t).dist_sq
-
-
 def _double_rate_kernels(params: ModelParams, t):
     """The real kernels exp(-2kt), sin(2wt) and cos(2wt)."""
     w, k = params.omega, params.kappa
@@ -284,8 +261,18 @@ def _phi(params: ModelParams, t):
 # ---------------------------------------------------------------- operations
 
 def coherent_pair(params: ModelParams, t) -> CoherentPair:
-    """Conditioned field amplitudes and their squared separation at t."""
-    be, bg, u, v = _amplitudes(params, t)
+    """Conditioned field amplitudes and their squared separation at t: the one amplitude kernel."""
+    w, k, F = params.omega, params.kappa, complex(params.drive)
+    c = k + 1j * w
+    cb = k - 1j * w
+    decay_e = np.exp(-c * t)
+    be = F / (w - 1j * k) * (decay_e - 1.0)
+    u = be - 1j * (F / k) * decay_e
+    del decay_e
+    decay_g = np.exp(-cb * t)
+    bg = -F / (w + 1j * k) * (decay_g - 1.0)
+    v = bg - 1j * (F / k) * decay_g
+    del decay_g
     return CoherentPair(be, bg, u, v, np.abs(u - v) ** 2)
 
 
@@ -346,7 +333,8 @@ def matrix_elements(params: ModelParams, amps: AtomicAmplitudes, t: float) -> di
     weight * |ket><bra| over coherent field states.  Never expands to a
     dense matrix.
     """
-    _, _, u, v = _amplitudes(params, t)
+    pair = coherent_pair(params, t)
+    u, v = pair.beta_e_prime, pair.beta_g_prime
     phi = _phi(params, t)
     return {
         "rho_ee": MatrixElement(complex(abs(amps.c_e) ** 2), complex(u), complex(u)),
@@ -362,17 +350,21 @@ def observables(params: ModelParams, t) -> dict:
 
     For the balanced initial superposition each one is a closed form in
     Re phi and the squared amplitude separation D^2, so this one pass
-    evaluates each of them once; the functions below are views of it.
-    The joint-state eigenvalues are (1 +- exp(Re phi))/2, the field
-    eigenvalues (1 +- exp(-D^2/2))/2.  ``dist_sq`` comes from
+    evaluates each kernel once: one :func:`_phi` call gives Re phi and one
+    :func:`coherent_pair` call gives D^2 and the photon number
+    |beta_e'|^2; the functions below are views of it.  The joint-state
+    eigenvalues are (1 +- exp(Re phi))/2, the field eigenvalues
+    (1 +- exp(-D^2/2))/2.  The ``dist_sq`` column comes from
     distance_sq_closed_form.  Array-capable in t.
     """
-    # D^2 goes through _dist_sq, not the amplitudes below, so that every
-    # view sees a replaced _phi or _dist_sq: the acceptance gate's own
-    # tests corrupt these two kernels to show that the gate notices
+    # both kernels are looked up as module globals, so that every view sees
+    # a replaced _phi or coherent_pair: the acceptance gate's own tests
+    # corrupt these two kernels to show that the gate notices
     re_phi = np.real(_phi(params, t)).copy()  # owned: a view keeps complex phi alive
-    d2 = _dist_sq(params, t)
-    _, u = _excited_amplitudes(params, t)
+    pair = coherent_pair(params, t)
+    d2 = pair.dist_sq
+    nbar = np.abs(pair.beta_e_prime) ** 2
+    del pair  # the four complex amplitudes are freed before the columns are built
     x_g = np.exp(re_phi)
     x_f = np.exp(-0.5 * d2)
     zeta = -0.5 * np.expm1(2.0 * re_phi)
@@ -389,7 +381,7 @@ def observables(params: ModelParams, t) -> dict:
         "lambda_minus": 0.5 * (1.0 - x_g),
         "Lambda_plus": 0.5 * (1.0 + x_f),
         "Lambda_minus": 0.5 * (1.0 - x_f),
-        "nbar_analytic": np.abs(u) ** 2,
+        "nbar_analytic": nbar,
     }
 
 

@@ -114,14 +114,14 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class AtomicAmplitudes:
-    """Normalized atomic superposition amplitudes (c_e, c_g)."""
+    """Normalized atomic superposition amplitudes (c_e, c_g); a non-finite one is rejected."""
 
     c_e: complex
     c_g: complex
 
     def __post_init__(self):
         norm = abs(self.c_e) ** 2 + abs(self.c_g) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"atomic amplitudes must be normalized, got |c|^2 = {norm!r}")
 
     @classmethod
@@ -133,7 +133,7 @@ class AtomicAmplitudes:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid starting at t = 0."""
+    """Uniform time grid starting at t = 0, of an integer n_points >= 2."""
 
     t_max: float
     n_points: int
@@ -141,8 +141,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError("t_max must be positive and finite")
-        if self.n_points < 2:
-            raise ValueError("n_points must be at least 2")
+        if not (isinstance(self.n_points, (int, np.integer)) and self.n_points >= 2):
+            raise ValueError(f"n_points must be an integer >= 2, got {self.n_points!r}")
 
     @property
     def spacing(self) -> float:

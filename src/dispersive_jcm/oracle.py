@@ -16,8 +16,8 @@ applies one block-diagonal sparse Liouvillian per Taylor term: scipy's
 compiled CSR kernel writes each term straight into its row of the step's
 buffer.  Dense joint matrices are rebuilt only at the requested times.
 Measurement functions accept one joint matrix or a stack of them (a
-leading batch axis), so :func:`series` extracts its columns a stack at a
-time.
+leading batch axis); :func:`observables` measures everything but the
+two-qubit concurrence, and :func:`series` calls it once per stack.
 
 Basis convention: the joint space is (atom) tensor (Fock), atom index
 major, with atomic index 0 = excited and 1 = ground.  A joint matrix is
@@ -338,10 +338,16 @@ def _blocks(data: np.ndarray) -> np.ndarray:
 def initial_state(
     params: ModelParams, amps: AtomicAmplitudes, n_fock: int | None = None
 ) -> FockDensityMatrix:
-    """Pure product start: atomic superposition x stationary coherent field."""
+    """Pure product start: atomic superposition x stationary coherent field.
+
+    An explicit ``n_fock`` must be an integer >= 2, the fewest levels
+    :func:`fock_truncation` gives, or ValueError is raised.
+    """
     if n_fock is None:
         n = fock_truncation(params) + 1
     else:
+        if not (isinstance(n_fock, (int, np.integer)) and n_fock >= 2):
+            raise ValueError(f"n_fock must be an integer >= 2, got {n_fock!r}")
         _check_affordable(n_fock)
         n = n_fock
     field_vec = coherent_state_vector(stationary_amplitude(params), n)
@@ -776,13 +782,15 @@ def wootters_concurrence(rho4: np.ndarray):
 
 
 def observables(rho: FockDensityMatrix | np.ndarray) -> dict:
-    """Scalar observables of a joint state, or arrays over a stack of them.
+    """The measured quantities of one joint state as floats, or of a stack as arrays.
 
     purity = tr rho^2 = ||ee||^2 + ||gg||^2 + 2||eg||^2 (Frobenius norms of
     the field blocks, with ge = eg^dag); linear_entropy = 1 - purity;
-    nbar = mean photon number of the reduced field; coherence_magnitude =
-    trace norm of the excited-ground block (equal to exp(Re phi)/2 for the
-    balanced analytic state).
+    zeta_atom, zeta_field = 1 - tr rho_A^2, 1 - tr rho_F^2; corr_c =
+    ||rho - rho_A x rho_F||^2 without forming the product; nbar = mean
+    photon number of the reduced field; coherence_magnitude = trace norm
+    of the excited-ground block (exp(Re phi)/2 for the balanced state).
+    The concurrence is :func:`wootters_concurrence` of :func:`embed_two_qubit`.
     """
     data = _matrices(rho)
     n = data.shape[-1] // 2
@@ -795,43 +803,27 @@ def observables(rho: FockDensityMatrix | np.ndarray) -> dict:
     photons = np.einsum("...kk->...k", ee + gg).real
     nbar = photons @ np.arange(n, dtype=float)
     coher = np.linalg.svd(eg, compute_uv=False).sum(axis=-1)
-    if data.ndim == 2:
-        purity, nbar, coher = float(purity), float(nbar), float(coher)
-    return {
+    atom = partial_trace_field(data)
+    field = partial_trace_atom(data)
+    # tr(rho_xy rho_F) for each pair of atomic levels
+    overlap = np.einsum("...xiyj,...ji->...xy", _blocks(data), field)
+    atom_purity = np.einsum("...ij,...ji->...", atom, atom).real
+    field_purity = np.einsum("...ij,...ji->...", field, field).real
+    # ||rho - rho_A x rho_F||^2 = tr rho^2 - 2 tr[rho (rho_A x rho_F)] + tr rho_A^2 tr rho_F^2,
+    # where tr[rho (rho_A x rho_F)] = sum_xy (rho_A)_yx tr(rho_xy rho_F)
+    cross = np.einsum("...yx,...xy->...", atom, overlap).real
+    columns = {
         "purity": purity,
         "linear_entropy": 1.0 - purity,
+        "zeta_atom": 1.0 - atom_purity,
+        "zeta_field": 1.0 - field_purity,
+        "corr_c": purity - 2.0 * cross + atom_purity * field_purity,
         "nbar": nbar,
         "coherence_magnitude": coher,
     }
-
-
-_SERIES_COLUMNS = ("zeta_global", "zeta_atom", "zeta_field", "corr_c", "concurrence", "re_phi")
-
-
-def _stack_columns(stack: np.ndarray, beta_e_prime, beta_g_prime) -> dict:
-    """The columns of :func:`series` for a stack of joint matrices."""
-    obs = observables(stack)
-    atom = partial_trace_field(stack)
-    field = partial_trace_atom(stack)
-    # tr(rho_xy rho_F) for each pair of atomic levels
-    overlap = np.einsum("mxiyj,mji->mxy", _blocks(stack), field)
-    atom_purity = np.einsum("mij,mji->m", atom, atom).real
-    field_purity = np.einsum("mij,mji->m", field, field).real
-    # ||rho - rho_A x rho_F||^2 = tr rho^2 - 2 tr[rho (rho_A x rho_F)] + tr rho_A^2 tr rho_F^2,
-    # where tr[rho (rho_A x rho_F)] = sum_xy (rho_A)_yx tr(rho_xy rho_F)
-    cross = np.einsum("myx,mxy->m", atom, overlap).real
-    coher = 2.0 * obs["coherence_magnitude"]
-    emb = embed_two_qubit(stack, beta_e_prime, beta_g_prime)
-    with np.errstate(divide="ignore"):
-        re_phi = np.log(coher)  # -inf where the coherence vanishes
-    return {
-        "zeta_global": obs["linear_entropy"],
-        "zeta_atom": 1.0 - atom_purity,
-        "zeta_field": 1.0 - field_purity,
-        "corr_c": obs["purity"] - 2.0 * cross + atom_purity * field_purity,
-        "concurrence": wootters_concurrence(emb.matrix),
-        "re_phi": re_phi,
-    }
+    if data.ndim == 2:
+        return {key: float(value) for key, value in columns.items()}
+    return columns
 
 
 def series(
@@ -843,14 +835,15 @@ def series(
 ) -> dict:
     """Integrated counterparts of the compared observables on a time grid.
 
-    One master-equation integration per call.  ``beta_e_prime`` and
-    ``beta_g_prime`` hold one conditioned field amplitude of each kind per
-    time: the concurrence column embeds each state in two qubits along
-    them (see :func:`embed_two_qubit`), and the caller supplies them, so
-    this module needs no closed form.  ``re_phi`` is recovered as
-    log(2 * coherence magnitude).  Emitted matrices are extracted in
-    stacks of up to 16 (fewer at large N), so memory does not grow with
-    the grid.
+    One master-equation integration per call.  Emitted matrices are
+    measured in stacks of up to 16 (fewer at large N), so memory does not
+    grow with the grid: one :func:`observables` call gives every column
+    but the concurrence (``zeta_global`` is its linear entropy, ``re_phi``
+    log(2 * coherence magnitude)).  ``beta_e_prime`` and ``beta_g_prime``
+    hold one conditioned field amplitude of each kind per time: the
+    concurrence column embeds each state in two qubits along them (see
+    :func:`embed_two_qubit`), and the caller supplies them, so this module
+    needs no closed form.
     """
     times = np.asarray(times, dtype=float)
     u = np.asarray(beta_e_prime, dtype=complex)
@@ -861,7 +854,10 @@ def series(
             f"got {u.shape} and {v.shape}"
         )
     rho0 = initial_state(params, AtomicAmplitudes.symmetric())
-    out = {key: np.empty(times.size) for key in _SERIES_COLUMNS}
+    out = {
+        key: np.empty(times.size)
+        for key in ("zeta_global", "zeta_atom", "zeta_field", "corr_c", "concurrence", "re_phi")
+    }
     d = 2 * rho0.n_fock
     points = max(1, min(_STACK_POINTS, _STACK_BYTES // (16 * d * d), times.size))
     stack = np.empty((points, d, d), complex)
@@ -871,7 +867,13 @@ def series(
         held += 1
         if held == stack.shape[0] or i == times.size - 1:
             done = slice(i + 1 - held, i + 1)
-            for key, column in _stack_columns(stack[:held], u[done], v[done]).items():
-                out[key][done] = column
+            obs = observables(stack[:held])
+            emb = embed_two_qubit(stack[:held], u[done], v[done])
+            out["zeta_global"][done] = obs["linear_entropy"]
+            for key in ("zeta_atom", "zeta_field", "corr_c"):
+                out[key][done] = obs[key]
+            out["concurrence"][done] = wootters_concurrence(emb.matrix)
+            with np.errstate(divide="ignore"):  # -inf where the coherence vanishes
+                out["re_phi"][done] = np.log(2.0 * obs["coherence_magnitude"])
             held = 0
     return out

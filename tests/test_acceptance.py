@@ -118,23 +118,31 @@ def test_report_marks_skipped_oracle_checks():
 
 # ---------------------------------------------------------------- gate sensitivity
 
+def _failing(rows):
+    return {r.name for r in rows if not r.passed}
+
+
 def test_gate_detects_a_corrupted_dephasing_exponent(monkeypatch):
     original = analytic._phi
     monkeypatch.setattr(analytic, "_phi", lambda p, t: original(p, t) + 1e-3)
-    assert any(not r.passed for r in acceptance.criterion_3())
-    assert any(not r.passed for r in acceptance.criterion_7())
+    assert _failing(acceptance.criterion_3()) == {
+        "c3_short_time_cubic", "c3_atom_short_time_quadratic"
+    }
+    assert _failing(acceptance.criterion_7()) == {
+        "c7_no_drive_pure_rotation", "c7_no_coupling_no_decoherence"
+    }
 
 
 def test_gate_detects_a_corrupted_amplitude_separation(monkeypatch):
-    original = analytic._dist_sq
-    monkeypatch.setattr(analytic, "_dist_sq", lambda p, t: original(p, t) + 1e-6)
+    original = analytic.coherent_pair
+
+    def shifted(params, t):
+        pair = original(params, t)
+        return dataclasses.replace(pair, dist_sq=pair.dist_sq + 1e-6)
+
+    monkeypatch.setattr(analytic, "coherent_pair", shifted)
     rows = acceptance.criterion_4(oracle_enabled=False)
-    entropy_rows = [r for r in rows if "entropy_at_roots" in r.name]
-    assert entropy_rows and not entropy_rows[0].passed
-
-
-def _failing(rows):
-    return {r.name for r in rows if not r.passed}
+    assert _failing(rows) == {"c4_field_entropy_at_roots"}
 
 
 def test_gate_detects_a_shifted_coherence_phase_exponent(monkeypatch):

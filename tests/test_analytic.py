@@ -117,14 +117,16 @@ def _bits(x):
 @settings(max_examples=100, deadline=None)
 @given(params_st, times_st, st.integers(1, 3000))
 def test_amplitudes_equal_the_direct_expression_bit_for_bit(params, t_max, points):
-    # each exponential is evaluated once and shared; the bits must not move,
-    # nor those of the separation kernel, which reads the coherent_pair record
+    # each exponential is evaluated once and shared; the bits of the four
+    # amplitudes must not move, nor those of the separation in the record
     for t in (t_max, np.linspace(0.0, t_max, points)):
         direct = _direct_amplitudes(params, t)
-        for got, want in zip(analytic._amplitudes(params, t), direct):
-            np.testing.assert_array_equal(_bits(got), _bits(want))
+        pair = analytic.coherent_pair(params, t)
+        got = (pair.beta_e, pair.beta_g, pair.beta_e_prime, pair.beta_g_prime)
+        for amplitude, want in zip(got, direct):
+            np.testing.assert_array_equal(_bits(amplitude), _bits(want))
         separation = np.abs(direct[2] - direct[3]) ** 2
-        np.testing.assert_array_equal(_bits(analytic._dist_sq(params, t)), _bits(separation))
+        np.testing.assert_array_equal(_bits(pair.dist_sq), _bits(separation))
 
 
 def test_distance_vanishes_without_coupling():
@@ -326,17 +328,39 @@ def test_observables_are_the_trace_columns_and_views_read_them(monkeypatch):
     }
     for name, view in views.items():
         assert np.array_equal(view(P_SUB, ts), cols[name]), name
-    # one pass: the dephasing exponent is evaluated once per call
+    # one pass: the dephasing exponent and the amplitudes are each
+    # evaluated once per call
     calls = []
-    original = analytic._phi
+    for name in ("_phi", "coherent_pair"):
+        original = getattr(analytic, name)
 
-    def counting_phi(params, t):
-        calls.append(t)
-        return original(params, t)
+        def counting(params, t, name=name, original=original):
+            calls.append(name)
+            return original(params, t)
 
-    monkeypatch.setattr(analytic, "_phi", counting_phi)
+        monkeypatch.setattr(analytic, name, counting)
     analytic.observables(P_SUB, ts)
-    assert len(calls) == 1
+    assert sorted(calls) == ["_phi", "coherent_pair"]
+
+
+def test_nbar_reads_the_one_amplitude_kernel(monkeypatch):
+    # nbar_analytic is |beta_e'|^2 of the coherent_pair call that gives D^2
+    ts = np.linspace(0.0, 12.0, 97)
+    before = analytic.observables(P_SUB, ts)
+    original = analytic.coherent_pair
+    shift = 0.25 + 0.5j
+
+    def shifted(params, t):
+        pair = original(params, t)
+        return dataclasses.replace(pair, beta_e_prime=pair.beta_e_prime + shift)
+
+    monkeypatch.setattr(analytic, "coherent_pair", shifted)
+    after = analytic.observables(P_SUB, ts)
+    want = np.abs(original(P_SUB, ts).beta_e_prime + shift) ** 2
+    assert np.array_equal(after["nbar_analytic"], want)
+    assert not np.array_equal(after["nbar_analytic"], before["nbar_analytic"])
+    for key in before.keys() - {"nbar_analytic"}:
+        assert np.array_equal(after[key], before[key]), key
 
 
 def test_re_phi_column_is_an_owned_contiguous_float_array():
@@ -362,7 +386,8 @@ def test_field_eigenvalue_product_matches_entropy(params, t):
     obs = analytic.observables(params, t)
     Lp, Lm = obs["Lambda_plus"], obs["Lambda_minus"]
     zf = obs["zeta_field"]
-    assert np.isclose(Lp * Lm, 0.25 * (1 - math.exp(-analytic._dist_sq(params, t))), atol=1e-13)
+    d2 = analytic.coherent_pair(params, t).dist_sq
+    assert np.isclose(Lp * Lm, 0.25 * (1 - math.exp(-d2)), atol=1e-13)
     assert np.isclose(zf, 2 * Lp * Lm, rtol=1e-10, atol=1e-13)
 
 
@@ -371,7 +396,7 @@ def test_field_eigenvalue_product_matches_entropy(params, t):
 def test_atom_eigenvalues_give_atom_entropy(params, t):
     # the reduced atom's eigenvalues are (1 +- exp(Re phi - D^2/2))/2
     obs = analytic.observables(params, t)
-    x = math.exp(obs["re_phi"] - 0.5 * analytic._dist_sq(params, t))
+    x = math.exp(obs["re_phi"] - 0.5 * analytic.coherent_pair(params, t).dist_sq)
     ap, am = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
     assert np.isclose(obs["zeta_atom"], 2 * ap * am, rtol=1e-10, atol=1e-13)
 
@@ -476,7 +501,7 @@ def test_mean_photon_number_reaches_stationary_value():
 
 @pytest.mark.parametrize("params", [make_params(0.37, 1.7), ModelParams(1.3, 0.7, 0.4 - 0.9j)])
 def test_mean_photon_number_is_the_excited_amplitude_of_the_pair_bit_for_bit(params):
-    # observables evaluates beta_e' alone, by the operations coherent_pair uses
+    # observables reads beta_e' from its one coherent_pair call
     for t in (np.linspace(0.0, 40.0, 100001), 0.7):
         u = analytic.coherent_pair(params, t).beta_e_prime
         assert np.array_equal(analytic.observables(params, t)["nbar_analytic"], np.abs(u) ** 2)

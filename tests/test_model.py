@@ -68,8 +68,10 @@ def test_validity_pair_rejects_degenerate_entries():
 def test_atomic_amplitudes_must_be_normalized():
     AtomicAmplitudes(1.0, 0.0)
     AtomicAmplitudes(0.6, 0.8j)
-    with pytest.raises(ValueError):
-        AtomicAmplitudes(0.8, 0.7)
+    # a nan norm compares False against any tolerance, so it must not pass
+    for c_e, c_g in ((0.8, 0.7), (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="normalized"):
+            AtomicAmplitudes(c_e, c_g)
 
 
 def test_symmetric_amplitudes_are_balanced():
@@ -89,8 +91,10 @@ def test_time_grid_spacing_and_points():
 def test_time_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 10)
-    with pytest.raises(ValueError):
-        TimeGrid(1.0, 1)
+    for n_points in (1, 2.5, math.nan, 3.0, "5"):
+        with pytest.raises(ValueError, match="integer"):
+            TimeGrid(5.0, n_points)
+    assert TimeGrid(5.0, np.int64(3)).points.shape == (3,)
 
 
 def test_stationary_amplitude_frozen_value():

@@ -135,6 +135,13 @@ def test_initial_state_is_a_valid_pure_product():
     assert np.isclose(obs["coherence_magnitude"], 0.5, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_fock", [0, 1, -3, 4.0, 2.5])
+def test_initial_state_requires_an_integer_level_count_of_two_or_more(n_fock):
+    with pytest.raises(ValueError, match="n_fock"):
+        oracle.initial_state(P111, BALANCED, n_fock=n_fock)
+    assert oracle.initial_state(P111, BALANCED, n_fock=np.int64(2)).n_fock == 2
+
+
 def test_density_matrix_validate_rejects_defects():
     n = 2
     good = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -901,6 +908,26 @@ def test_series_matches_per_point_dense_extraction(k_over_omega):
             assert abs(got[key][i] - want[key]) <= 1e-13, (key, i)
         # Wootters takes square roots of eigenvalues at the 1e-16 level
         assert abs(got["concurrence"][i] - want["concurrence"]) <= 1e-7, i
+
+
+def test_observables_give_the_dense_subsystem_entropies_and_correlation():
+    # 1 - tr rho_A^2, 1 - tr rho_F^2 and ||rho - rho_A x rho_F||^2 with the
+    # product formed, for one matrix and for a stack
+    params = make_params(0.2, 1.0)
+    rho0 = oracle.initial_state(params, AtomicAmplitudes(0.6, 0.8j))
+    times = np.array([0.0, 0.7, 1.9, 3.2])
+    mats = np.stack([mat for _, mat in oracle.evolve_trajectory(params, rho0, times)])
+    pair = analytic.coherent_pair(params, times)
+    stacked = oracle.observables(mats)
+    for i, mat in enumerate(mats):
+        one = oracle.observables(mat)
+        want = _dense_columns(mat, pair.beta_e_prime[i], pair.beta_g_prime[i])
+        for key in ("zeta_atom", "zeta_field", "corr_c"):
+            assert isinstance(one[key], float), key
+            assert abs(one[key] - want[key]) <= 1e-13, (key, i)
+            assert abs(stacked[key][i] - want[key]) <= 1e-13, (key, i)
+    # the last state is entangled, so the check is not of zeros
+    assert stacked["corr_c"][-1] > 1e-3 and stacked["zeta_atom"][-1] > 1e-3
 
 
 def test_series_takes_one_amplitude_of_each_kind_per_time():
