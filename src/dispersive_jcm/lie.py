@@ -129,7 +129,10 @@ def check_commutator_table(rep: SuperOpRep, margin: int) -> float:
     n|m><n|).
 
     Both sides of each relation are restricted to the interior subspace
-    before comparison; the truncated ladder algebra is exact there.
+    before comparison; the truncated ladder algebra is exact there.  The
+    restriction reads the stored entries of each difference whose row and
+    column are both interior: the same maximum as slicing the sparse
+    matrix, without building the slice.
     """
     if rep.dim < margin + 4:
         raise ValueError("dim must be at least margin + 4")
@@ -142,6 +145,11 @@ def check_commutator_table(rep: SuperOpRep, margin: int) -> float:
 
     def comm(A, B):
         return A @ B - B @ A
+
+    def interior_max(diff):
+        entries = diff.tocoo()
+        inside = np.abs(entries.data[keep[entries.row] & keep[entries.col]])
+        return inside.max(initial=0.0)
 
     relations = [
         (comm(J, M), J),
@@ -161,7 +169,7 @@ def check_commutator_table(rep: SuperOpRep, margin: int) -> float:
         (comm(Xp, Ym), 2.0 * eye),
         (comm(Xm, Yp), -2.0 * eye),
     ]
-    return float(max(abs((lhs - rhs)[keep][:, keep]).max() for lhs, rhs in relations))
+    return float(max(interior_max(lhs - rhs) for lhs, rhs in relations))
 
 
 # ---------------------------------------------------------------- ODE residuals

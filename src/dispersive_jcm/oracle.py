@@ -14,7 +14,12 @@ of the excited-ground one).  The propagator therefore carries the three
 blocks column-stacked in one packed vector of 3(N+1)^2 entries and
 applies one block-diagonal sparse Liouvillian per Taylor term: scipy's
 compiled CSR kernel writes each term straight into its row of the step's
-buffer.  Dense joint matrices are rebuilt only at the requested times.
+buffer.  That Liouvillian's CSR arrays are filled from index arithmetic,
+at most six entries a row, with no sparse algebra; the ladder maps of
+:func:`ladder_maps` are its reference form and the maps of :mod:`.lie`.
+Dense joint matrices are rebuilt only at the requested times.  A
+propagation is refused once its first step predicts more work than a
+fixed budget, as a truncation is refused over the memory budget.
 Measurement functions accept one joint matrix or a stack of them (a
 leading batch axis); :func:`observables` measures everything but the
 two-qubit concurrence, and :func:`series` calls it once per stack.
@@ -84,7 +89,9 @@ MEMORY_BUDGET_BYTES = 1 << 30
 # above) and the dense 2(N+1)-square matrices of one extracted point.  A
 # step's own temporaries (the norms of its last two terms, one packed
 # state: each term is written into its row of the buffer) and the
-# generator's build temporaries peak lower.  The plan is the tracemalloc
+# generator's build temporaries peak lower: the build's padded six-slot
+# array and its compressed copy peak at about 43 entries per (N+1)^2, and
+# the Taylor terms are allocated after it.  The plan is the tracemalloc
 # peak of a :func:`series` integration with extraction, within a few
 # percent, for N from 190 to 250: 102.7 entries per (N+1)^2 up to N = 208
 # and 99.7 above, against 101.  The budget then admits N up to 814.
@@ -94,6 +101,13 @@ _DENSE_COPIES = 8
 # Taylor degree of one propagation step in :func:`propagate`, which calls
 # the generator this many times per step
 _TAYLOR_DEGREE = 16
+
+# Work one propagation may do, in Taylor steps times state entries: at
+# 0.35-0.6 us per step-entry on a 2-core Xeon a span at the budget runs 1-2
+# minutes.  The largest standard propagation, c2's to t = 60 (623 steps of
+# 1323 entries), is 243 times inside it, the c1 traces 324 times, c6's
+# flows 7800 times, and perfbench's oracle ops at least 1450 times.
+_WORK_BUDGET = 2e8
 
 # Points :func:`series` extracts together, and the memory its stack may take:
 # below N of about 180 the stack adds up to 4 MiB to the plan above; above it
@@ -367,37 +381,63 @@ def _liouvillian(params: ModelParams, n_fock: int, blocks):
     a_dag - ...) with H_e = w(a_dag a + 1) + V, H_g = -w a_dag a + V and
     V = F a_dag + conj(F) a.  In the maps of :func:`ladder_maps` that is
     -i(H_x,left - H_y,right) + k(2J - M - P), with J: X -> a X a_dag and the
-    number maps M: X -> a_dag a X and P: X -> X a_dag a.  The drive
-    -iF(a_dag,left - a_dag,right) - i conj(F)(a_left - a_right) and the jump
-    2kJ are the same in every block and are built once; the rest is
-    diagonal, -i(H_x(i) - H_y(j)) - k(i + j) at entry X[i, j], and all
-    blocks' diagonals go in with one sparse sum.
+    number maps M: X -> a_dag a X and P: X -> X a_dag a.
+
+    The CSR arrays are filled from index arithmetic (Saad, *Iterative
+    Methods for Sparse Linear Systems*, 2nd ed., 2003, sec. 3.4), with no
+    sparse algebra.  X[i, j] of a block sits at r = i + j n, n = N + 1, and
+    row r holds at most six entries, already in column order: at r - n the
+    drive on X a, i conj(F) sqrt(j); at r - 1 the drive on a_dag X,
+    -iF sqrt(i); at r the diagonal -i(H_x(i) - H_y(j)) - k(i + j), with
+    the number i as sqrt(i)^2; at r + 1 the drive on a X, -i conj(F)
+    sqrt(i + 1); at r + n the drive on X a_dag, iF sqrt(j + 1); and at
+    r + n + 1 the jump 2k sqrt(i + 1) sqrt(j + 1).  Each value is formed by
+    the float operations of the sums and products of the ladder maps, in
+    their order: ``-1j * (F * (s - 0))`` and ``-1j * (conj(F) * (0 - s))``
+    for the drive, ``k * (2.0 * (s_i * s_j))`` for the jump, with s the
+    complex sqrt.  Every entry then gets ``+ 0.0``, as a sparse sum adds,
+    so no zero is negative, and entries exactly zero are dropped, so the
+    matrix is entry for entry that product form.  Indices are int32.  The
+    six slots of every row are filled in one padded array and compressed
+    once: for three blocks the build peaks at about 43 complex entries per
+    (N+1)^2, under twice the matrix it returns.
     """
     w, k, F = params.omega, params.kappa, complex(params.drive)
-    a_left, a_left_dag, a_right, a_right_dag = ladder_maps(n_fock)
-    drive = F * (a_left_dag - a_right_dag) + np.conj(F) * (a_left - a_right)
-    shared = -1j * drive + k * (2.0 * (a_left @ a_right_dag))
-    # the diagonal of a_dag a as the product of the ladder maps forms it,
-    # sqrt(i)^2 and not i, so that L is entry for entry that product form
-    ladder = np.sqrt(np.arange(n_fock))
+    n, rows = n_fock, len(blocks) * n_fock * n_fock
+    ladder = np.sqrt(np.arange(n))
+    s = ladder.astype(complex)
     number = ladder * ladder
     energy = {"e": w * (number + 1.0), "g": -w * number}
-    # column-stacked X[i, j] sits at i + j (N+1): left maps act on i, right maps on j
     damping = k * (-number[:, None] - number)
-    diagonal = np.concatenate(
-        [(damping - 1j * (energy[x][:, None] - energy[y])).ravel("F") for x, y in blocks]
-    )
-    return scipy.sparse.block_diag([shared] * len(blocks), format="csr") + scipy.sparse.diags(
-        diagonal, format="csr"
-    )
+    # slots[b, j, i, c]: entry c of row i + j n of block b; a slot the
+    # Fock edge leaves out stays zero and is dropped with the zero entries
+    slots = np.zeros((len(blocks), n, n, 6), complex)
+    slots[:, 1:, :, 0] = (-1j * (np.conj(F) * (0 - s[1:])))[:, None]
+    slots[:, :, 1:, 1] = -1j * (F * (s[1:] - 0))
+    for b, (x, y) in enumerate(blocks):
+        slots[b, :, :, 2] = (damping - 1j * (energy[x][:, None] - energy[y])).T
+    slots[:, :, :-1, 3] = -1j * (np.conj(F) * (s[1:] - 0))
+    slots[:, :-1, :, 4] = (-1j * (F * (0 - s[1:])))[:, None]
+    slots[:, :-1, :-1, 5] = k * (2.0 * (s[1:, None] * s[1:]))
+    slots += 0.0
+    slots = slots.reshape(rows, 6)
+    stored = slots != 0
+    indptr = np.zeros(rows + 1, np.int32)
+    np.cumsum(stored.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    offsets = np.array([-n, -1, 0, 1, n, n + 1], np.int32)
+    indices = (np.arange(rows, dtype=np.int32)[:, None] + offsets)[stored]
+    data = slots[stored]
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(rows, rows))
 
 
 def field_liouvillian(params: ModelParams, n_fock: int, left: str, right: str):
     """Sparse Liouvillian of one field block rho_xy, column-stacked.
 
     ``left`` and ``right`` name the atomic levels x and y, each ``"e"`` or
-    ``"g"``; the form is that of :func:`_liouvillian`, which also builds the
-    propagator's block matrix.
+    ``"g"``.  The matrix is :func:`_liouvillian` of the one block, which
+    also builds the propagator's block matrix: CSR arrays filled from the
+    six-entry row stencil, entry for entry the sums and products of the
+    maps of :func:`ladder_maps`, with int32 indices.
     """
     if not {left, right} <= {"e", "g"}:
         raise ValueError(f"field block levels must be 'e' or 'g', got {left!r}, {right!r}")
@@ -458,9 +498,10 @@ def build_generator(params: ModelParams, n_fock: int):
     with H = w[(a_dag a + 1) P_e - a_dag a P_g] + (F a_dag + conj(F) a).
     The ee, gg and eg Liouvillians (see :func:`field_liouvillian`) form one
     block-diagonal sparse matrix L acting on [vec ee, vec gg, vec eg] (see
-    :func:`_pack`), built by one call of :func:`_liouvillian`.  Returns the
-    map (y, out) -> out += L y of :func:`matvec_into`, one compiled sparse
-    product per evaluation.
+    :func:`_pack`), built by one call of :func:`_liouvillian`, which fills
+    its CSR arrays directly, block after block in one padded array, with
+    no sparse algebra.  Returns the map (y, out) -> out += L y of
+    :func:`matvec_into`, one compiled sparse product per evaluation.
     """
     return matvec_into(_liouvillian(params, n_fock, ("ee", "gg", "eg")))
 
@@ -544,9 +585,14 @@ def propagate(generator, y0: np.ndarray, t0: float, times, config: IntegratorCon
     Raises :class:`OracleError` when an entry of ``y`` at an index in
     ``edges`` exceeds 1e-8 in modulus at the end of any step (before any
     time inside that step is yielded), the state turns non-finite, or a
-    step no longer advances t.  A finished propagation logs one debug
-    record: ``label``, the span, steps, generator calls (16 per step),
-    points evaluated and the largest edge modulus seen.
+    step no longer advances t.  It is raised too, naming ``label``, when
+    the first step's rate times the span, times the state length, exceeds
+    the work budget of 2e8 step-entries (before anything in the first
+    step is yielded), or when the steps taken times the state length pass
+    it; the check adds no arithmetic to the state.  A finished
+    propagation logs one debug record: ``label``, the span, steps,
+    generator calls (16 per step), points evaluated and the largest edge
+    modulus seen.
     """
     y0 = np.asarray(y0)
     if y0.ndim != 1 or y0.dtype != np.complex128:
@@ -559,8 +605,8 @@ def propagate(generator, y0: np.ndarray, t0: float, times, config: IntegratorCon
         ptr += 1
     if ptr == times.size:
         return
-    m = _TAYLOR_DEGREE
-    terms = np.empty((m + 1, y0.size), complex)
+    m, y_size = _TAYLOR_DEGREE, y0.size
+    terms = np.empty((m + 1, y_size), complex)
     terms[0] = y0
     del y0  # the first term holds the state: a caller's temporary is freed here
     end = np.empty_like(terms[0])
@@ -594,6 +640,16 @@ def propagate(generator, y0: np.ndarray, t0: float, times, config: IntegratorCon
         else:
             raise OracleError(f"step size {1.0 / rate:.3e} no longer advances t={t:.6g}")
         steps += 1
+        if steps == 1:
+            # the first step's rate predicts the steps of the span
+            predicted = rate * (t_last - t0)
+        # the steps taken count too, should the steps shrink later on
+        if max(predicted, steps) * y_size > _WORK_BUDGET:
+            raise OracleError(
+                f"{label}: about {predicted:.3g} Taylor steps of {y_size} entries predicted "
+                f"to reach t={t_last:.6g} ({steps} taken), over the oracle work budget of "
+                f"{_WORK_BUDGET:.3g} step-entries"
+            )
         # the step end first, then the requested times in (t, t_next]
         stop = int(np.searchsorted(times, t_next, side="right"))
         offsets = np.concatenate(([t_next - t], times[ptr:stop] - t))

@@ -153,6 +153,22 @@ def test_unaffordable_oracle_truncation_exits_2(tmp_path, capsys):
     assert not out.with_name(out.name + ".tmp").exists()
 
 
+def test_an_oracle_horizon_over_the_work_budget_exits_2_at_once(tmp_path):
+    # about 1.8e7 Taylor steps at N = 20: refused after the first one
+    package_root = Path(dispersive_jcm.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dispersive_jcm", "--mode", "trace", "--oracle",
+         "--t-max-pi", "1e6", "--points", "3", "--out", "h.csv"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: N=20: about "), proc.stderr
+    assert "over the oracle work budget of 2e+08 step-entries" in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figures_mode_writes_five_deterministic_files(tmp_path):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     args = ["--mode", "figures", "--points", "7", "--t-max-pi", "4.0"]

@@ -106,6 +106,45 @@ def test_commutator_table_closes_on_the_interior():
     assert lie.check_commutator_table(rep, 4) < 1e-12
 
 
+def _sliced_commutator_table(rep, margin):
+    """The table's maximum taken on the sliced sparse differences, as first written."""
+    keep = lie.interior_mask(rep.dim, margin)
+    eye = sparse.identity(rep.dim * rep.dim, dtype=complex, format="csr")
+    J, M, P = rep.jump, rep.number_left, rep.number_right
+    Xp, Xm, Yp, Ym = rep.create_sum, rep.create_diff, rep.lower_sum, rep.lower_diff
+
+    def comm(A, B):
+        return A @ B - B @ A
+
+    relations = [
+        (comm(J, M), J), (comm(J, P), J),
+        (comm(J, Xp), 0.5 * (Xp - Xm)), (comm(J, Xm), 0.5 * (Xp - Xm)),
+        (comm(J, Yp), 0.5 * (Yp - Ym)), (comm(J, Ym), 0.5 * (Yp - Ym)),
+        (comm(M, Xp), 0.5 * (Xp + Xm)), (comm(M, Xm), 0.5 * (Xp + Xm)),
+        (comm(M, Yp), -0.5 * (Yp - Ym)), (comm(M, Ym), 0.5 * (Yp - Ym)),
+        (comm(P, Xp), 0.5 * (Xm - Xp)), (comm(P, Xm), -0.5 * (Xm - Xp)),
+        (comm(P, Yp), 0.5 * (Yp + Ym)), (comm(P, Ym), 0.5 * (Yp + Ym)),
+        (comm(Xp, Ym), 2.0 * eye), (comm(Xm, Yp), -2.0 * eye),
+    ]
+    return float(max(abs((lhs - rhs)[keep][:, keep]).max() for lhs, rhs in relations))
+
+
+@pytest.mark.parametrize("dim, margin", [(6, 0), (6, 2), (14, 4), (30, 5)])
+def test_commutator_table_is_the_maximum_over_the_sliced_interior(dim, margin):
+    rep = lie.superop_rep(dim)
+    assert lie.check_commutator_table(rep, margin) == _sliced_commutator_table(rep, margin)
+    # maps that break the algebra everywhere, so that every stored entry counts
+    rng = np.random.default_rng(dim)
+    size = dim * dim
+    maps = [
+        sparse.random(size, size, density=3 / size, rng=rng, format="csr")
+        + 1j * sparse.random(size, size, density=3 / size, rng=rng, format="csr")
+        for _ in range(11)
+    ]
+    noisy = SuperOpRep(dim, *maps)
+    assert lie.check_commutator_table(noisy, margin) == _sliced_commutator_table(noisy, margin)
+
+
 def test_commutator_table_rejects_too_small_dim():
     with pytest.raises(ValueError):
         lie.check_commutator_table(lie.superop_rep(6), 4)

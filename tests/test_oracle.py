@@ -434,6 +434,43 @@ def test_the_compiled_product_refuses_what_its_kernel_cannot_read():
         next(oracle.propagate(matvec, np.ones(16, complex), 0.0, [0.1], config, (15,), "bad"))
 
 
+def test_a_span_over_the_work_budget_is_refused_after_one_step():
+    params = make_params(1.0, 1.0)
+    n = oracle.fock_truncation(params) + 1
+    calls = []
+
+    def counting(y, out):
+        calls.append(1)
+        generator(y, out)
+
+    generator = oracle.build_generator(params, n)
+    y0 = oracle._pack(oracle.initial_state(params, BALANCED).data, n)
+    with pytest.raises(oracle.OracleError) as err:
+        next(oracle.propagate(
+            counting, y0, 0.0, [1e-3, 1e6 * np.pi], oracle.IntegratorConfig(), (n * n - 1,),
+            f"N={n - 1}",
+        ))
+    # refused before the first time inside the first step is yielded
+    assert len(calls) == oracle._TAYLOR_DEGREE
+    assert re.fullmatch(
+        r"N=20: about \S+e\+07 Taylor steps of 1323 entries predicted to reach "
+        r"t=3\.14159e\+06 \(1 taken\), over the oracle work budget of 2e\+08 step-entries",
+        str(err.value),
+    )
+
+
+def test_a_propagation_stops_once_its_steps_pass_the_work_budget(monkeypatch, caplog):
+    # here the first step predicts 62 steps and the span takes 82
+    params = ModelParams(1.0, 0.7, 0.2 - 0.15j)
+    rho0 = oracle.initial_state(params, BALANCED, n_fock=12)
+    with caplog.at_level(logging.DEBUG, logger=oracle.__name__):
+        oracle.evolve(params, rho0, 20.0)
+    assert " 82 steps, " in caplog.records[-2].getMessage()
+    monkeypatch.setattr(oracle, "_WORK_BUDGET", 70 * 432)
+    with pytest.raises(oracle.OracleError, match=r"^N=11: about 62\.3 Taylor steps .* \(71 taken\)"):
+        oracle.evolve(params, rho0, 20.0)
+
+
 def test_trajectory_validates_time_ordering():
     rho0 = oracle.initial_state(P111, BALANCED)
     with pytest.raises(ValueError):
@@ -617,6 +654,100 @@ def test_block_generator_is_the_block_diagonal_of_the_field_liouvillians(params,
     y = rng.normal(size=3 * n_fock**2) + 1j * rng.normal(size=3 * n_fock**2)
     joined = scipy.sparse.block_diag(blocks, format="csr")
     assert np.array_equal(_apply(oracle.build_generator(params, n_fock), y), joined @ y)
+
+
+def _frozen_liouvillian(params, n_fock, blocks):
+    """The block Liouvillian as the sparse algebra of the ladder maps built it.
+
+    A frozen copy of ``oracle._liouvillian`` from before its CSR arrays
+    were filled directly; the direct build must give the same arrays.
+    """
+    w, k, F = params.omega, params.kappa, complex(params.drive)
+    a_left, a_left_dag, a_right, a_right_dag = oracle.ladder_maps(n_fock)
+    drive = F * (a_left_dag - a_right_dag) + np.conj(F) * (a_left - a_right)
+    shared = -1j * drive + k * (2.0 * (a_left @ a_right_dag))
+    ladder = np.sqrt(np.arange(n_fock))
+    number = ladder * ladder
+    energy = {"e": w * (number + 1.0), "g": -w * number}
+    damping = k * (-number[:, None] - number)
+    diagonal = np.concatenate(
+        [(damping - 1j * (energy[x][:, None] - energy[y])).ravel("F") for x, y in blocks]
+    )
+    return scipy.sparse.block_diag([shared] * len(blocks), format="csr") + scipy.sparse.diags(
+        diagonal, format="csr"
+    )
+
+
+def _assert_same_csr(got, want):
+    assert got.format == want.format == "csr"
+    assert got.shape == want.shape
+    assert got.indptr.dtype == want.indptr.dtype == got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+BLOCK_SETS = [("ee",), ("gg",), ("eg",), ("ge",), ("ee", "gg", "eg")]
+
+
+@pytest.mark.parametrize("drive", [1.0, -1.0, 1j, -1j, 0.0, 0.4 - 0.9j])
+def test_liouvillian_has_the_arrays_of_the_frozen_sparse_algebra(drive):
+    params = ModelParams(1.3, 0.7, drive)
+    for n_fock in (2, 3, 5, 15, 21, 34, 41):
+        for blocks in BLOCK_SETS:
+            _assert_same_csr(
+                oracle._liouvillian(params, n_fock, blocks),
+                _frozen_liouvillian(params, n_fock, blocks),
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.05, 5.0),
+    st.floats(0.1, 10.0),
+    st.complex_numbers(max_magnitude=20.0, allow_nan=False, allow_infinity=False),
+    st.integers(2, 12),
+    st.sampled_from(BLOCK_SETS),
+)
+def test_liouvillian_matches_the_frozen_sparse_algebra_across_the_box(
+    kappa, omega, drive, n_fock, blocks
+):
+    params = ModelParams(omega, kappa, drive)
+    _assert_same_csr(
+        oracle._liouvillian(params, n_fock, blocks),
+        _frozen_liouvillian(params, n_fock, blocks),
+    )
+
+
+def test_liouvillian_calls_no_sparse_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse algebra in the Liouvillian build")
+
+    for name in ("kron", "block_diag", "diags", "identity"):
+        monkeypatch.setattr(scipy.sparse, name, refuse)
+    for name in ("_add_sparse", "_sub_sparse", "_matmul_sparse", "_mul_scalar", "_binopt"):
+        monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, name, refuse)
+    monkeypatch.setattr(oracle, "ladder_maps", refuse)
+    params = ModelParams(1.0, 0.7, 0.4 - 0.9j)
+    assert oracle._liouvillian(params, 6, ("ee", "gg", "eg")).nnz > 0
+    assert oracle.field_liouvillian(params, 6, "e", "g").nnz > 0
+
+
+def test_liouvillian_build_peaks_under_68_entries_per_level_pair():
+    # the sparse algebra's build peaked at 68.0 complex entries per (N+1)^2
+    # at N = 100; the direct build fills one padded array and compresses it
+    n = 101
+    params = ModelParams(1.0, 0.7, 0.4 - 0.9j)
+    oracle._liouvillian(params, 5, ("ee", "gg", "eg"))  # scipy's lazy imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        liouvillian = oracle._liouvillian(params, n, ("ee", "gg", "eg"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert liouvillian.nnz > 17 * n * n
+    assert peak <= 68 * 16 * n * n, peak / (16 * n * n)
 
 
 def test_a_step_holding_more_times_than_a_chunk_yields_each_in_order(monkeypatch, caplog):
