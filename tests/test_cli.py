@@ -531,6 +531,108 @@ def test_trace_holds_its_columns_and_a_few_arrays_more(tmp_path):
     assert peak < 12 * 16 * points, f"trace peak {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("points", [65535, 65536, 65537, 98304, 100001])
+def test_chunked_table_is_the_bytes_of_the_whole_grid(points):
+    # numpy computes in place only on temporaries of at least 256 KiB, and a
+    # swapped complex product can move the last bit: chunks of at least
+    # 32768 points keep every temporary on the whole grid's side of that
+    rng = np.random.default_rng(points)
+    params = make_params(10 ** rng.uniform(-1.0, 1.0), rng.uniform(0.2, 2.0))
+    times = np.linspace(0.0, rng.uniform(1.0, 40.0) * math.pi, points)
+    config = cli.IntegratorConfig()
+    whole = cli._trace_columns(params, times, False, config)
+    expected = b"".join(cli._csv_blocks(list(cli.TRACE_COLUMNS), whole))
+    del whole
+    with mock.patch.object(analytic, "observables", wraps=analytic.observables) as calls:
+        chunked = b"".join(cli._csv_blocks(*cli._trace_table(params, times, False, config)))
+    assert chunked == expected
+    sizes = [len(c.args[1]) for c in calls.call_args_list]
+    assert sizes[:-1] == [cli._CHUNK_POINTS] * (len(sizes) - 1)
+    assert cli._CHUNK_POINTS <= sizes[-1] < 2 * cli._CHUNK_POINTS or sizes == [points]
+    assert len(sizes) == max(1, points // cli._CHUNK_POINTS)
+
+
+def _trace_peak(tmp_path, points):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        argv = ["--mode", "trace", "--points", str(points), "--out", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_memory_grows_only_by_its_time_grid(tmp_path):
+    # a chunk's evaluation, the grid and a block's formatting; the whole
+    # 100001-point table alone is 9.9 MiB, and evaluating it took 13 MiB
+    small, large = _trace_peak(tmp_path, 100001), _trace_peak(tmp_path, 200001)
+    assert small < 7 * 2**20, f"trace peak {small / 2**20:.1f} MiB"
+    assert large - small <= 8 * 100000 + 2**20, f"{small / 2**20:.1f} -> {large / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    ("poison", "opened"),
+    [
+        ({"concurrence": -1, "zeta_atom": -1}, True),  # the last chunk only
+        ({"concurrence": -1, "zeta_atom": 40000}, True),  # the second and the last chunk
+        ({"concurrence": -1, "zeta_atom": 1}, False),  # the first and the last chunk
+    ],
+)
+def test_a_non_finite_chunk_fails_as_a_whole_table_check(
+    tmp_path, capsys, monkeypatch, poison, opened
+):
+    points = 100001
+    times = np.linspace(0.0, 4.0 * math.pi, points)
+    observables = analytic.observables
+
+    def poisoned(params, t):
+        columns = observables(params, t)
+        for name, index in poison.items():
+            columns[name][t == times[index]] = np.nan
+        return columns
+
+    monkeypatch.setattr(analytic, "observables", poisoned)
+    out = tmp_path / "t.csv"
+    args = ["--mode", "trace", "--points", str(points), "--out", str(out)]
+    with monkeypatch.context() as whole:
+        whole.setattr(cli, "_CHUNK_POINTS", points)
+        assert cli.main(args) == 2
+    unchunked = capsys.readouterr().err
+    assert unchunked.splitlines() == [
+        "error: non-finite values in zeta_atom, concurrence: parameters outside the numerical range"
+    ]
+    assert not list(tmp_path.iterdir())
+    out.write_bytes(b"earlier run\n")
+    with mock.patch.object(cli, "_write_temp", wraps=cli._write_temp) as write_temp:
+        assert cli.main(args) == 2
+    # the temp file is opened only once the first chunk has passed
+    assert write_temp.call_count == opened
+    assert capsys.readouterr().err == unchunked
+    assert out.read_bytes() == b"earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_an_oracle_table_is_one_chunk(tmp_path, monkeypatch):
+    # the oracle integrates along the whole grid from t = 0
+    args = ["--mode", "trace", "--oracle", "--points", "21", "--t-max-pi", "0.5"]
+    assert cli.main([*args, "--out", str(tmp_path / "a.csv")]) == 0
+    monkeypatch.setattr(cli, "_CHUNK_POINTS", 4)
+    with mock.patch.object(cli.oracle, "series", wraps=cli.oracle.series) as series:
+        assert cli.main([*args, "--out", str(tmp_path / "b.csv")]) == 0
+    assert series.call_count == 1
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_a_non_finite_first_chunk_wins_over_an_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.csv"
+    argv = ["--mode", "trace", "--points", "100001", "--t-max-pi", "1e308", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite values in omega_t_over_pi")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
