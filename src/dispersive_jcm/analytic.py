@@ -183,10 +183,13 @@ def _phi(params: ModelParams, t):
     shared ones as arguments.
 
     Every operation keeps the operands and the order of the direct
-    expression, and a named array stays named: numpy computes a binary
-    operation on a large temporary in place, with the operands swapped
-    when the temporary is on the right, and a swapped complex product can
-    differ in the last bit.
+    expression, and the right operand of a complex-by-complex product is a
+    named array or a scalar, never a temporary: numpy computes a product
+    with a temporary of 256 KiB or more in place, with the operands swapped
+    when that temporary is on the right, and under a fused multiply-add a
+    swapped complex product can differ in the last bit.  Each product so
+    runs in its written order at every size, and a value's bits do not
+    depend on how many points are evaluated with it.
     """
     w, k, F = params.omega, params.kappa, complex(params.drive)
     t = np.asarray(t, dtype=float)
@@ -200,9 +203,12 @@ def _phi(params: ModelParams, t):
     # it cancels bit-exactly when omega = 0 (s is then real and both
     # squares are the same float).
     s = eta / c
-    secular = -(2j * w * F2 / c ** 2) * (t + eta * (2.0 - eta) / (2 * c))
-    secular += F2 * ((s * np.conj(s)).real - s * s)
-    del s
+    secular = 2.0 - eta
+    secular = t + eta * secular / (2 * c)
+    secular = -(2j * w * F2 / c ** 2) * secular
+    conj_s = np.conj(s)
+    secular += F2 * ((s * conj_s).real - s * s)
+    del s, conj_s
     phi = -1j * w * t
     phi += secular
     del secular
@@ -265,12 +271,15 @@ def coherent_pair(params: ModelParams, t) -> CoherentPair:
     w, k, F = params.omega, params.kappa, complex(params.drive)
     c = k + 1j * w
     cb = k - 1j * w
+    # each complex product's right operand is named, as in _phi
     decay_e = np.exp(-c * t)
-    be = F / (w - 1j * k) * (decay_e - 1.0)
+    be = decay_e - 1.0
+    be = F / (w - 1j * k) * be
     u = be - 1j * (F / k) * decay_e
     del decay_e
     decay_g = np.exp(-cb * t)
-    bg = -F / (w + 1j * k) * (decay_g - 1.0)
+    bg = decay_g - 1.0
+    bg = -F / (w + 1j * k) * bg
     v = bg - 1j * (F / k) * decay_g
     del decay_g
     return CoherentPair(be, bg, u, v, np.abs(u - v) ** 2)
@@ -355,8 +364,13 @@ def observables(params: ModelParams, t) -> dict:
     |beta_e'|^2; the functions below are views of it.  The joint-state
     eigenvalues are (1 +- exp(Re phi))/2, the field eigenvalues
     (1 +- exp(-D^2/2))/2.  The ``dist_sq`` column comes from
-    distance_sq_closed_form.  Array-capable in t.
+    distance_sq_closed_form.  Array-capable in t; a scalar t is evaluated
+    as a one-element array and gives numpy scalars, so each value has the
+    bits it has in any array of times.
     """
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        return {name: column[0] for name, column in observables(params, t.reshape(1)).items()}
     # both kernels are looked up as module globals, so that every view sees
     # a replaced _phi or coherent_pair: the acceptance gate's own tests
     # corrupt these two kernels to show that the gate notices

@@ -24,14 +24,14 @@ failed.  A CSV holds only finite numbers (apart from critical's
 ``t_trans``, nan when there is no transition); parameters whose closed
 forms leave the floating-point range exit 2 with one error line instead,
 as does an output path that cannot be written or a grid too large to
-allocate.  A trace or figure table is evaluated in chunks of at
-least 32768 time points, each checked for finiteness and streamed to the
-temp file as bytes in blocks of rows, through a file opened in binary
-mode, before the next chunk is evaluated; the first chunk is checked
-before the temp file is opened, and a grid under 65536 points, or any
-grid with the oracle, is one chunk.  A run holds its time grid, one chunk
-and a few blocks, not the file or the whole table, and a later chunk that
-fails its check leaves no file, with the error a whole-table check gives.
+allocate.  A trace or figure table is evaluated, checked for
+finiteness and streamed to the temp file as bytes one block of rows at a
+time, through a file opened in binary mode; the first block is checked
+before the temp file is opened.  The closed forms give each time point
+the bits it has in any array of times, so a row does not depend on the
+blocks or on ``--points``.  A run holds its time grid and a few blocks,
+not the file or the whole table, and a later block that fails its check
+leaves no file, with the error a whole-table check gives.
 
 Each block is formatted by a numpy kernel that writes the bytes of
 ``"%.16e" % v`` exactly: Dekker's error-free product (Numer. Math. 18
@@ -53,6 +53,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import contextvars
+import itertools
 import math
 import os
 import sys
@@ -251,9 +252,11 @@ def get_args(argv=None) -> argparse.Namespace:
 
 # ---------------------------------------------------------------- CSV plumbing
 
-#: rows per formatted block of a streamed table; a block of a trace's 13
-#: columns peaks at about 1.5 MiB of temporaries
-_BLOCK_ROWS = 1024
+#: time points per evaluated, checked and formatted block of a trace or
+#: figure table.  Fewer rows cost more closed-form calls per table; with
+#: more, the formatting kernel's temporaries outgrow the cache.  A block of
+#: a trace's 13 columns peaks at about 3 MiB of temporaries
+_BLOCK_ROWS = 2048
 
 
 def _temp(path: Path) -> Path:
@@ -436,97 +439,69 @@ def _copy_rows(slots: np.ndarray, negative: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def _csv_blocks(
-    header: list[str], columns: list[np.ndarray], later: Iterable[list[np.ndarray]] = ()
-) -> Iterator[bytes]:
-    """The header line, then the bytes of each block of up to _BLOCK_ROWS rows.
+def _csv_blocks(header: list[str], blocks: Iterable[list[np.ndarray]]) -> Iterator[bytes]:
+    """The header line, then the bytes of each block of equal-length columns.
 
-    The rows are those of the equal-length ``columns``, then those of each
-    column chunk that ``later`` yields, drawn only once every block before
-    it is out.  Each block takes its slices of one chunk, so no table is
-    ever copied, and :func:`_format_block` writes every value as
-    :func:`_fmt` does, byte for byte, holding one block's arrays and bytes
-    at a time.  A chunk is released before the next one is drawn.
+    :func:`_format_block` writes every value as :func:`_fmt` does, byte
+    for byte, and each block is drawn only once the one before it is out,
+    so one block's arrays and bytes are held at a time.
     """
     yield (",".join(header) + "\n").encode()
-    later = iter(later)
-    while columns is not None:
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            yield _format_block([c[start:start + _BLOCK_ROWS] for c in columns])
-        del columns  # released before the next chunk is evaluated
-        columns = next(later, None)
-
-
-#: time points per closed-form evaluation of a streamed trace or figure
-#: table; the last chunk also takes the remainder, so every chunk has at
-#: least this many.  At 32768 points a float temporary is 256 KiB, numpy's
-#: threshold for computing on a temporary in place, which can swap the
-#: operands of a complex product (see analytic._phi): every temporary of a
-#: chunk then falls on the side of that threshold it falls on in a whole
-#: grid, and the chunks give the whole grid's values bit for bit.
-_CHUNK_POINTS = 32768
-
-
-def _trace_columns(
-    params: ModelParams, times: np.ndarray, with_oracle: bool, config: IntegratorConfig
-) -> list[np.ndarray]:
-    """The value columns of a trace at ``times``, in header order."""
-    columns = analytic.observables(params, times)
-    data = [times / math.pi] + [columns[name] for name in TRACE_COLUMNS[1:]]
-    if with_oracle:
-        pair = analytic.coherent_pair(params, times)
-        oracle_columns = oracle.series(params, times, pair.beta_e_prime, pair.beta_g_prime, config)
-        data += [oracle_columns[name[len("oracle_"):]] for name in ORACLE_COLUMNS]
-    return data
+    for columns in blocks:
+        yield _format_block(columns)
 
 
 def _check_finite(
-    header: list[str], columns: list[np.ndarray], later: Iterable[list[np.ndarray]]
-) -> None:
-    """Raise if ``columns`` hold a non-finite value.
+    header: list[str], blocks: Iterator[list[np.ndarray]]
+) -> Iterator[list[np.ndarray]]:
+    """The blocks, each checked for non-finite values as it is drawn.
 
-    The error names, in header order, every column that holds one here or
-    in any chunk ``later`` yields, so it reads as a check of the whole table.
+    At the first block that holds one, every later block is drawn too, and
+    the error names, in header order, every column that holds one in any
+    of them, so it reads as a check of the whole table.
     """
-    bad = [not np.isfinite(column).all() for column in columns]
-    if any(bad):
-        for chunk in later:
-            bad = [b or not np.isfinite(column).all() for b, column in zip(bad, chunk)]
-        names = ", ".join(name for name, b in zip(header, bad) if b)
-        raise ValueError(f"non-finite values in {names}: parameters outside the numerical range")
-
-
-def _checked(header: list[str], chunks: Iterator[list[np.ndarray]]) -> Iterator[list[np.ndarray]]:
-    """The chunks, each checked by :func:`_check_finite` as it is drawn."""
-    for columns in chunks:
-        _check_finite(header, columns, chunks)
+    for columns in blocks:
+        finite = np.isfinite(columns).all(axis=1)
+        if not finite.all():
+            for later in blocks:
+                finite &= np.isfinite(later).all(axis=1)
+            names = ", ".join(name for name, ok in zip(header, finite) if not ok)
+            raise ValueError(
+                f"non-finite values in {names}: parameters outside the numerical range"
+            )
         yield columns
-        del columns  # released before the next chunk is evaluated
 
 
 def _trace_table(
     params: ModelParams, times: np.ndarray, with_oracle: bool, config: IntegratorConfig
-) -> tuple[list[str], list[np.ndarray], Iterator[list[np.ndarray]]]:
-    """Header, first chunk and later chunks of a trace's columns, for :func:`_csv_blocks`.
+) -> tuple[list[str], Iterator[list[np.ndarray]]]:
+    """Header and checked column blocks of a trace, for :func:`_csv_blocks`.
 
-    The grid is evaluated in consecutive chunks of _CHUNK_POINTS points,
-    the last one taking the remainder, so a grid under twice that is one
-    chunk; with the oracle, which integrates along the whole grid, the
-    table is always one chunk.  The first chunk is evaluated and checked
-    for finiteness here, before anything is written; each later one when
-    it is drawn, so a failure there raises the same error while the table
-    is being written.
+    Each block of up to _BLOCK_ROWS time points is evaluated when it is
+    drawn, and the closed forms give each point the bits it has in any
+    array of times.  The oracle integrates along the whole grid from
+    t = 0, so its columns are evaluated once here and sliced.  The first
+    block is evaluated and checked here too, before anything is written.
     """
     header = list(TRACE_COLUMNS) + (list(ORACLE_COLUMNS) if with_oracle else [])
-    count = 1 if with_oracle else max(1, len(times) // _CHUNK_POINTS)
-    edges = [i * _CHUNK_POINTS for i in range(count)] + [len(times)]
-    chunks = (
-        _trace_columns(params, times[start:stop], with_oracle, config)
-        for start, stop in zip(edges, edges[1:])
-    )
-    first = next(chunks)
-    _check_finite(header, first, chunks)
-    return header, first, _checked(header, chunks)
+    integrated = []
+    if with_oracle:
+        pair = analytic.coherent_pair(params, times)
+        found = oracle.series(params, times, pair.beta_e_prime, pair.beta_g_prime, config)
+        integrated = [found[name[len("oracle_"):]] for name in ORACLE_COLUMNS]
+
+    def evaluate(start: int) -> list[np.ndarray]:
+        block = times[start:start + _BLOCK_ROWS]
+        columns = analytic.observables(params, block)
+        return (
+            [block / math.pi]
+            + [columns[name] for name in TRACE_COLUMNS[1:]]
+            + [column[start:start + _BLOCK_ROWS] for column in integrated]
+        )
+
+    blocks = _check_finite(header, map(evaluate, range(0, len(times), _BLOCK_ROWS)))
+    first = next(blocks)
+    return header, itertools.chain([first], blocks)
 
 
 def _run_trace(args, params: ModelParams, config: IntegratorConfig) -> int:
@@ -547,7 +522,7 @@ def _run_figures(args, config: IntegratorConfig) -> int:
         params = make_params(k_ow, f_ok)
         _write_temp(out_dir / name, _csv_blocks(*_trace_table(params, times, args.oracle, config)))
 
-    # One table at a time, so one chunk of one table is alive at once and the
+    # One table at a time, so one block of one table is alive at once and the
     # first failure stops the run; no file is replaced before all five are
     # written.  The worker thread buys nothing: it is there only because the
     # benchmark's tracer test (perfbench) counts the pool tasks of this run.

@@ -291,10 +291,18 @@ def _frozen_phi(params, t):
 )
 def test_phi_equals_the_frozen_expression_bit_for_bit(params, t_max, points):
     # every kernel is evaluated once and shared; the bits must not move.
-    # At 40001 points the real and complex temporaries lie above numpy's
-    # 256 KiB threshold for computing in place, at 4097 below it
-    t = t_max if points is None else np.linspace(0.0, t_max, points)
-    np.testing.assert_array_equal(_bits(analytic._phi(params, t)), _bits(_frozen_phi(params, t)))
+    # The frozen expression runs on slices of 1024 points, whose temporaries
+    # lie below numpy's 256 KiB threshold for computing in place, so it
+    # gives each product in its written order; at 40001 points analytic._phi's
+    # temporaries lie above that threshold and must keep that order
+    if points is None:
+        want = _frozen_phi(params, t_max)
+    else:
+        t = np.linspace(0.0, t_max, points)
+        slices = [t[i:i + 1024] for i in range(0, points, 1024)]
+        want = np.concatenate([_frozen_phi(params, piece) for piece in slices])
+    got = analytic._phi(params, t_max if points is None else t)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def test_phase_parts_all_vanish_at_t_zero():
@@ -436,12 +444,34 @@ def test_entropies_frozen_values_subcritical():
 
 
 def test_scalar_and_array_evaluation_agree():
-    # numpy's vector and scalar ufunc loops may round differently in the
-    # last bit, so the two routes agree to rounding, not bit for bit
     t = 3.3
     row = {name: col[1] for name, col in analytic.observables(P111, np.array([0.0, t, 7.0])).items()}
     for name, value in analytic.observables(P111, t).items():
-        assert np.isclose(value, row[name], rtol=1e-14, atol=1e-15), name
+        assert isinstance(value, np.float64) and np.ndim(value) == 0, name
+        assert np.float64(value).view(np.uint64) == row[name].view(np.uint64), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params_st,
+    st.floats(0.0, 60.0),
+    st.sampled_from([1, 2, 1023, 16383, 16384, 32768, 70000]),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_each_point_has_the_bits_of_its_own_evaluation(params, t_max, points, where):
+    # numpy computes on temporaries of 256 KiB or more in place (16384
+    # complex or 32768 float points), which must not move a value's bits:
+    # each sampled point of the array has the bits of its one-element and
+    # its scalar evaluation, in every column
+    t = np.linspace(0.0, t_max, points)
+    whole = analytic.observables(params, t)
+    for i in {0, points - 1} | {int(u * (points - 1)) for u in where}:
+        one = analytic.observables(params, t[i:i + 1])
+        scalar = analytic.observables(params, float(t[i]))
+        for name, column in whole.items():
+            bits = column[i:i + 1].view(np.uint64)
+            assert one[name].view(np.uint64) == bits, (name, i)
+            assert np.float64(scalar[name]).view(np.uint64) == bits, (name, i)
 
 
 def test_global_entropy_saturates_at_one_half():

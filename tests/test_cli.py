@@ -238,6 +238,12 @@ def _reference_csv(header, table):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _row_blocks(table):
+    """The column slices of each block of up to cli._BLOCK_ROWS rows of a 2-D table."""
+    rows = cli._BLOCK_ROWS
+    return [list(table[start:start + rows].T) for start in range(0, len(table), rows)]
+
+
 def _reference_trace(k_over_omega, f_over_k, t_max_pi, points):
     times = np.linspace(0.0, t_max_pi * math.pi, points)
     columns = analytic.observables(make_params(k_over_omega, f_over_k), times)
@@ -434,7 +440,7 @@ def test_the_copy_path_at_block_boundaries(rows_past):
     table[0, 6] = -1e-120  # three exponent digits: the first block takes the translate path
     header = list(cli.TRACE_COLUMNS)
     with mock.patch.object(cli, "_copy_rows", wraps=cli._copy_rows) as copy_rows:
-        chunks = list(cli._csv_blocks(header, list(table.T)))
+        chunks = list(cli._csv_blocks(header, _row_blocks(table)))
     assert b"".join(chunks) == _reference_csv(header, table)
     assert len(chunks) == 1 + -(-rows // cli._BLOCK_ROWS)
     assert copy_rows.call_count == len(chunks) - 2
@@ -457,7 +463,7 @@ def test_block_writer_matches_per_value_formatting(tmp_path, rows, ncols):
     for r in {0, 4095, 4096, rows - 1} & set(range(rows)):
         table[r] = np.resize(np.roll(special, r), ncols)
     header = [f"c{j}" for j in range(ncols)]
-    chunks = list(cli._csv_blocks(header, list(table.T)))
+    chunks = list(cli._csv_blocks(header, _row_blocks(table)))
     assert [c.count(b"\n") for c in chunks[1:]] == [
         min(cli._BLOCK_ROWS, rows - start) for start in range(0, rows, cli._BLOCK_ROWS)
     ]
@@ -484,7 +490,7 @@ def test_a_failing_chunk_leaves_no_partial_file(tmp_path, failure):
     table = np.ones((3 * cli._BLOCK_ROWS, len(cli.TRACE_COLUMNS)))
 
     def chunks():
-        blocks = cli._csv_blocks(list(cli.TRACE_COLUMNS), list(table.T))
+        blocks = cli._csv_blocks(list(cli.TRACE_COLUMNS), _row_blocks(table))
         yield next(blocks)  # the header
         yield next(blocks)  # the first block of rows
         raise failure("interrupted")
@@ -507,7 +513,7 @@ def test_block_writer_holds_a_few_blocks_not_the_file(tmp_path):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cli._atomic_write(out, cli._csv_blocks(list(cli.TRACE_COLUMNS), list(table.T)))
+        cli._atomic_write(out, cli._csv_blocks(list(cli.TRACE_COLUMNS), _row_blocks(table)))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -533,23 +539,24 @@ def test_trace_holds_its_columns_and_a_few_arrays_more(tmp_path):
 
 @pytest.mark.parametrize("points", [65535, 65536, 65537, 98304, 100001])
 def test_chunked_table_is_the_bytes_of_the_whole_grid(points):
-    # numpy computes in place only on temporaries of at least 256 KiB, and a
-    # swapped complex product can move the last bit: chunks of at least
-    # 32768 points keep every temporary on the whole grid's side of that
+    # the table is evaluated one block at a time, yet each value has the
+    # bits of the whole grid's evaluation, whose complex temporaries numpy
+    # computes on in place
     rng = np.random.default_rng(points)
     params = make_params(10 ** rng.uniform(-1.0, 1.0), rng.uniform(0.2, 2.0))
     times = np.linspace(0.0, rng.uniform(1.0, 40.0) * math.pi, points)
-    config = cli.IntegratorConfig()
-    whole = cli._trace_columns(params, times, False, config)
-    expected = b"".join(cli._csv_blocks(list(cli.TRACE_COLUMNS), whole))
+    columns = analytic.observables(params, times)
+    whole = np.stack([times / math.pi] + [columns[name] for name in cli.TRACE_COLUMNS[1:]], axis=1)
+    del columns
+    expected = b"".join(cli._csv_blocks(list(cli.TRACE_COLUMNS), _row_blocks(whole)))
     del whole
+    config = cli.IntegratorConfig()
     with mock.patch.object(analytic, "observables", wraps=analytic.observables) as calls:
-        chunked = b"".join(cli._csv_blocks(*cli._trace_table(params, times, False, config)))
-    assert chunked == expected
+        blocked = b"".join(cli._csv_blocks(*cli._trace_table(params, times, False, config)))
+    assert blocked == expected
     sizes = [len(c.args[1]) for c in calls.call_args_list]
-    assert sizes[:-1] == [cli._CHUNK_POINTS] * (len(sizes) - 1)
-    assert cli._CHUNK_POINTS <= sizes[-1] < 2 * cli._CHUNK_POINTS or sizes == [points]
-    assert len(sizes) == max(1, points // cli._CHUNK_POINTS)
+    rows = cli._BLOCK_ROWS
+    assert sizes == [min(rows, points - start) for start in range(0, points, rows)]
 
 
 def _trace_peak(tmp_path, points):
@@ -564,7 +571,7 @@ def _trace_peak(tmp_path, points):
 
 
 def test_trace_memory_grows_only_by_its_time_grid(tmp_path):
-    # a chunk's evaluation, the grid and a block's formatting; the whole
+    # the grid and one block's evaluation and formatting; the whole
     # 100001-point table alone is 9.9 MiB, and evaluating it took 13 MiB
     small, large = _trace_peak(tmp_path, 100001), _trace_peak(tmp_path, 200001)
     assert small < 7 * 2**20, f"trace peak {small / 2**20:.1f} MiB"
@@ -574,9 +581,9 @@ def test_trace_memory_grows_only_by_its_time_grid(tmp_path):
 @pytest.mark.parametrize(
     ("poison", "opened"),
     [
-        ({"concurrence": -1, "zeta_atom": -1}, True),  # the last chunk only
-        ({"concurrence": -1, "zeta_atom": 40000}, True),  # the second and the last chunk
-        ({"concurrence": -1, "zeta_atom": 1}, False),  # the first and the last chunk
+        ({"concurrence": -1, "zeta_atom": -1}, True),  # the last block only
+        ({"concurrence": -1, "zeta_atom": 40000}, True),  # a middle and the last block
+        ({"concurrence": -1, "zeta_atom": 1}, False),  # the first and the last block
     ],
 )
 def test_a_non_finite_chunk_fails_as_a_whole_table_check(
@@ -596,32 +603,50 @@ def test_a_non_finite_chunk_fails_as_a_whole_table_check(
     out = tmp_path / "t.csv"
     args = ["--mode", "trace", "--points", str(points), "--out", str(out)]
     with monkeypatch.context() as whole:
-        whole.setattr(cli, "_CHUNK_POINTS", points)
+        whole.setattr(cli, "_BLOCK_ROWS", points)
         assert cli.main(args) == 2
-    unchunked = capsys.readouterr().err
-    assert unchunked.splitlines() == [
+    unblocked = capsys.readouterr().err
+    assert unblocked.splitlines() == [
         "error: non-finite values in zeta_atom, concurrence: parameters outside the numerical range"
     ]
     assert not list(tmp_path.iterdir())
     out.write_bytes(b"earlier run\n")
     with mock.patch.object(cli, "_write_temp", wraps=cli._write_temp) as write_temp:
         assert cli.main(args) == 2
-    # the temp file is opened only once the first chunk has passed
+    # the temp file is opened only once the first block has passed
     assert write_temp.call_count == opened
-    assert capsys.readouterr().err == unchunked
+    assert capsys.readouterr().err == unblocked
     assert out.read_bytes() == b"earlier run\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
-def test_an_oracle_table_is_one_chunk(tmp_path, monkeypatch):
-    # the oracle integrates along the whole grid from t = 0
-    args = ["--mode", "trace", "--oracle", "--points", "21", "--t-max-pi", "0.5"]
-    assert cli.main([*args, "--out", str(tmp_path / "a.csv")]) == 0
-    monkeypatch.setattr(cli, "_CHUNK_POINTS", 4)
+@pytest.mark.parametrize("points", [21, 2001])
+def test_an_oracle_trace_has_the_closed_form_bytes_of_the_plain_trace(
+    tmp_path, monkeypatch, points
+):
+    # the oracle integrates along the whole grid from t = 0, in one call,
+    # however many blocks the table is written in
+    args = ["--mode", "trace", "--points", str(points), "--t-max-pi", "0.5"]
+    assert cli.main([*args, "--out", str(tmp_path / "plain.csv")]) == 0
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 16)
     with mock.patch.object(cli.oracle, "series", wraps=cli.oracle.series) as series:
-        assert cli.main([*args, "--out", str(tmp_path / "b.csv")]) == 0
+        assert cli.main([*args, "--oracle", "--out", str(tmp_path / "oracle.csv")]) == 0
     assert series.call_count == 1
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    width = len(cli.TRACE_COLUMNS)
+    lines = (tmp_path / "oracle.csv").read_bytes().splitlines()
+    closed = b"".join(b",".join(line.split(b",")[:width]) + b"\n" for line in lines)
+    assert closed == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_a_row_does_not_depend_on_the_number_of_points(tmp_path):
+    # both grids hold the same first 10000 times, and a row's bytes depend
+    # only on its time, not on how many points the grid has
+    long, short = tmp_path / "long.csv", tmp_path / "short.csv"
+    for out, points, t_max_pi in ((long, "40001", "4"), (short, "10001", "1")):
+        argv = ["--mode", "trace", "--points", points, "--t-max-pi", t_max_pi, "--out", str(out)]
+        assert cli.main(argv) == 0
+    head = 10001  # the header and 10000 rows
+    assert long.read_bytes().splitlines()[:head] == short.read_bytes().splitlines()[:head]
 
 
 def test_a_non_finite_first_chunk_wins_over_an_unwritable_out(tmp_path, capsys):
